@@ -19,32 +19,51 @@ with base angles ``(-alpha, -beta, -gamma, 0)``; a CZ gate becomes a direct
 edge between the two wire frontiers.  Every rotation therefore adds exactly
 four vertices, so a compiled pattern has ``wires + 4 * rotations`` vertices.
 
-Simulation policies:
+Simulation runs on one batched engine (``_run_batch``): a batch of
+branches, each a state over the active vertices plus its outcome record.
+Vertices are activated only when first touched (valid because CZ edges
+commute with everything acting on other vertices).  The policies differ only
+in how each measurement outcome is chosen:
 
-* ``"enumerate-all"`` -- exact mixture over all measurement branches.  The
-  engine keeps an ensemble of weighted branches, activates vertices only
-  when first touched (valid because CZ edges commute with everything acting
-  on other vertices), discards outcome bits once nothing can reference them
-  again, and merges branches whose futures are identical.  For compiled
-  patterns the ensemble stays polynomial even though the raw branch count
-  is 2^measurements.
+* ``"enumerate-all"`` -- exact mixture over all measurement branches.  Every
+  branch is split on every outcome; outcome bits that nothing references
+  again are forgotten, and branches with equal records and equal states are
+  merged.  Merging does not make it polynomial: the live branch count of a
+  compiled pattern grows about as 4^wires (64 at 2 wires; thousands to tens
+  of thousands at 5 and 6 wires).
 * ``"seeded-random"`` -- one branch, outcomes drawn from a seeded generator.
+* ``branch_determinism_check`` runs forced outcome assignments, one per row.
+
+Determinism of a pattern is certified without simulation when its domains
+are exactly those induced by a causal flow (``_flow_certificate``; Danos &
+Kashefi, PRA 74, 052310 (2006)).  Compiled patterns always are: each chain
+vertex's flow successor is the next vertex on its wire.  Other patterns
+fall back to the exhaustive check over all 2^measurements assignments.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .program_ir import CZGate, Program, RotationGate
-from .statevec import Distribution, ReadoutSpec
+from .statevec import (
+    Distribution,
+    ReadoutSpec,
+    marginal_probabilities,
+    total_variation_distance,
+)
 
 _SQRT2 = math.sqrt(2.0)
+_BASIS = np.eye(2, dtype=complex)
+_PLUS = np.array([1.0, 1.0], dtype=complex) / _SQRT2
+_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)  # outcome 0 / 1 projector signs
 _DROP_TOL = 1e-14          # conditional branch probability treated as zero
 _MERGE_TOL = 1e-11         # max overlap deficit for states considered equal
 _FORCE_TOL = 1e-12         # forced outcomes below this probability are unreachable
@@ -149,6 +168,11 @@ class MeasurementPattern:
     def wires(self) -> int:
         return len(self.outputs)
 
+    @functools.cached_property
+    def _plan(self) -> _Plan:
+        # Built on first simulation and kept: the pattern is immutable.
+        return _Plan(self)
+
 
 # ---------------------------------------------------------------------------
 # lowering
@@ -239,291 +263,363 @@ def compile_to_pattern(program: Program) -> MeasurementPattern:
 
 
 # ---------------------------------------------------------------------------
+# determinism certificate
+
+
+def _flow_certificate(pattern: MeasurementPattern) -> bool:
+    """Whether the pattern is the standard pattern of a causal flow.
+
+    The candidate flow ``f`` is read off the X domains: every measured
+    vertex ``i`` must sit in exactly one ``s_domain`` or ``x_corrections``
+    set, and the vertex owning that set is ``f(i)``.  It must satisfy
+    ``i ~ f(i)`` with ``f(i)`` not an input, and every ``t_domain`` /
+    ``z_corrections`` set must equal ``{j : f(j) ~ v, j != v}`` for its
+    vertex ``v``.  The flow's order conditions, with the measurement order
+    as the flow order and outputs last, then hold already: pattern
+    validation puts ``i`` before ``f(i)`` (``i`` is in its s domain) and
+    before every other neighbour ``v`` of ``f(i)`` (``i`` is in its t
+    domain).  Such a pattern gives the same corrected output on every
+    branch (Danos & Kashefi, PRA 74, 052310 (2006)).  Time is linear in the
+    pattern size.
+    """
+    x_sets = [(st.vertex, st.s_domain) for st in pattern.steps]
+    x_sets += zip(pattern.outputs, pattern.x_corrections)
+    flow: dict[int, int] = {}
+    for owner, domain in x_sets:
+        for i in domain:
+            if i in flow:
+                return False
+            flow[i] = owner
+    if len(flow) != len(pattern.steps):
+        return False
+    nbrs: dict[int, set[int]] = {v: set() for v in pattern.vertices}
+    for u, v in pattern.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    inputs = set(pattern.inputs)
+    induced: dict[int, set[int]] = {}
+    for i, f in flow.items():
+        if f not in nbrs[i] or f in inputs:
+            return False
+        for v in nbrs[f] - {i}:
+            induced.setdefault(v, set()).add(i)
+    z_sets = [(st.vertex, st.t_domain) for st in pattern.steps]
+    z_sets += zip(pattern.outputs, pattern.z_corrections)
+    return all(domain == induced.get(v, set()) for v, domain in z_sets)
+
+
+# ---------------------------------------------------------------------------
 # simulation engine
 
 
-def _retire_after(pattern: MeasurementPattern) -> dict[int, list[int]]:
-    """Map step index -> outcome bits that nothing references afterwards."""
-    last: dict[int, float] = {}
-    for i, st in enumerate(pattern.steps):
-        last[st.vertex] = i
-    for i, st in enumerate(pattern.steps):
-        for v in st.s_domain | st.t_domain:
-            last[v] = max(last[v], i)
-    for corr in (*pattern.x_corrections, *pattern.z_corrections):
-        for v in corr:
-            last[v] = math.inf
-    out: dict[int, list[int]] = {}
-    for v, i in last.items():
-        if i != math.inf:
-            out.setdefault(int(i), []).append(v)
-    return out
-
-
-class _Register:
-    """Active-vertex bookkeeping shared by all branches.
-
-    Activation order is structural (it never depends on outcomes), so one
-    register serves the whole ensemble; branch vectors share its layout.
-    """
-
-    def __init__(self, pattern: MeasurementPattern, s_in: str) -> None:
-        if len(s_in) != len(pattern.inputs) or any(ch not in "01" for ch in s_in):
-            raise ValueError(
-                f"input {s_in!r} does not match the {len(pattern.inputs)} pattern inputs"
-            )
-        self.input_bit = {v: int(ch) for v, ch in zip(pattern.inputs, s_in)}
-        self.active: list[int] = []
-        self.pos: dict[int, int] = {}
-        self.pending: set[tuple[int, int]] = set(pattern.edges)
-        self.by_vertex: dict[int, list[tuple[int, int]]] = {}
-        for e in pattern.edges:
-            self.by_vertex.setdefault(e[0], []).append(e)
-            self.by_vertex.setdefault(e[1], []).append(e)
-
-    def _activate(self, v: int, vecs: np.ndarray) -> np.ndarray:
-        if len(self.active) + 1 > MAX_ACTIVE:
-            raise BranchLimitError(
-                f"pattern needs more than {MAX_ACTIVE} simultaneously active vertices"
-            )
-        if v in self.input_bit:
-            local = np.zeros(2, dtype=complex)
-            local[self.input_bit[v]] = 1.0
-        else:
-            local = np.array([1.0, 1.0], dtype=complex) / _SQRT2
-        out = (vecs[:, :, None] * local[None, None, :]).reshape(vecs.shape[0], -1)
-        self.pos[v] = len(self.active)
-        self.active.append(v)
-        return out
-
-    def touch(self, v: int, vecs: np.ndarray) -> np.ndarray:
-        """Activate ``v`` if needed and apply its pending edges."""
-        if v not in self.pos:
-            vecs = self._activate(v, vecs)
-        for e in self.by_vertex.get(v, ()):
-            if e not in self.pending:
-                continue
-            other = e[1] if e[0] == v else e[0]
-            if other not in self.pos:
-                vecs = self._activate(other, vecs)
-            a = len(self.active)
-            psi = vecs.reshape((-1,) + (2,) * a)
-            sl: list[object] = [slice(None)] * (a + 1)
-            sl[1 + self.pos[v]] = 1
-            sl[1 + self.pos[other]] = 1
-            psi[tuple(sl)] *= -1.0
-            self.pending.remove(e)
-        return vecs
-
-    def drop(self, v: int) -> None:
-        self.active.pop(self.pos[v])
-        self.pos = {u: i for i, u in enumerate(self.active)}
-
-
-def _parity(record: dict[int, int], domain: frozenset[int]) -> int:
-    acc = 0
-    for v in domain:
-        acc ^= record[v]
-    return acc
-
-
-def _device_angle(step: MeasureStep, record: dict[int, int]) -> float:
-    theta = step.angle if _parity(record, step.s_domain) == 0 else -step.angle
-    if _parity(record, step.t_domain):
-        theta += math.pi
-    return theta
-
-
-def _take_halves(vecs: np.ndarray, a: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    psi = vecs.reshape((-1,) + (2,) * a)
-    v0 = np.take(psi, 0, axis=1 + axis).reshape(vecs.shape[0], -1)
-    v1 = np.take(psi, 1, axis=1 + axis).reshape(vecs.shape[0], -1)
-    return v0, v1
-
-
-def _apply_corrections(
-    pattern: MeasurementPattern,
-    reg: _Register,
-    vec: np.ndarray,
-    record: dict[int, int],
-) -> np.ndarray:
-    """Pauli fix-up of one branch's output state (flat vector)."""
-    a = len(reg.active)
-    psi = vec.reshape((2,) * a)
-    for j, out_vertex in enumerate(pattern.outputs):
-        ax = reg.pos[out_vertex]
-        if _parity(record, pattern.x_corrections[j]):
-            psi = np.flip(psi, axis=ax)
-        if _parity(record, pattern.z_corrections[j]):
-            sl: list[object] = [slice(None)] * a
-            sl[ax] = 1
-            psi = psi.copy()
-            psi[tuple(sl)] *= -1.0
-    return psi.reshape(-1)
-
-
-def _readout_axes(
-    pattern: MeasurementPattern, reg: _Register, readout: ReadoutSpec
-) -> tuple[int, ...]:
+def _check_run(pattern: MeasurementPattern, s_in: str, readout: ReadoutSpec) -> None:
+    if len(s_in) != len(pattern.inputs) or any(ch not in "01" for ch in s_in):
+        raise ValueError(
+            f"input {s_in!r} does not match the {len(pattern.inputs)} pattern inputs"
+        )
     if max(readout.qubits) >= pattern.wires:
         raise ValueError(
             f"readout {readout.qubits} outside the {pattern.wires} pattern wires"
         )
-    return tuple(reg.pos[pattern.outputs[q]] for q in readout.qubits)
 
 
-def _marginal(probs: np.ndarray, a: int, axes_keep: tuple[int, ...]) -> np.ndarray:
-    """Marginalize a (2,)*a probability tensor onto axes_keep, in order."""
-    drop = tuple(ax for ax in range(a) if ax not in axes_keep)
-    marg = np.sum(probs, axis=drop) if drop else probs
-    order = tuple(sorted(axes_keep).index(ax) for ax in axes_keep)
-    return np.transpose(marg, order).reshape(-1)
+def _parity_code(
+    col: dict[int, int], domains: list[frozenset[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Record columns and bit values whose XOR, over a record row, has bit
+    ``j`` set to the outcome parity of ``domains[j]`` (see ``_eval_code``)."""
+    bits: dict[int, int] = {}
+    for j, domain in enumerate(domains):
+        for v in domain:
+            bits[col[v]] = bits.get(col[v], 0) ^ (1 << j)
+    return (
+        np.fromiter(bits.keys(), dtype=np.intp, count=len(bits)),
+        np.fromiter(bits.values(), dtype=np.int64, count=len(bits)),
+    )
 
 
-def _distribution_from(total: np.ndarray, m: int) -> Distribution:
-    entries = {format(i, f"0{m}b"): float(p) for i, p in enumerate(total)}
-    return Distribution(entries)
+def _eval_code(records: np.ndarray, code: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    cols, bits = code
+    return np.bitwise_xor.reduce(records[:, cols] * bits, axis=1)
 
 
-def _enumerate_branches(
-    pattern: MeasurementPattern,
-    s_in: str,
-    readout: ReadoutSpec,
-    branch_limit: int,
-) -> Distribution:
-    reg = _Register(pattern, s_in)
-    retire = _retire_after(pattern)
-    vecs = np.ones((1, 1), dtype=complex)
-    weights = [1.0]
-    records: list[dict[int, int]] = [{}]
-    for idx, step in enumerate(pattern.steps):
-        vecs = reg.touch(step.vertex, vecs)
-        ax = reg.pos[step.vertex]
-        a = len(reg.active)
-        v0, v1 = _take_halves(vecs, a, ax)
-        thetas = np.array([_device_angle(step, rec) for rec in records])
-        rows: list[np.ndarray] = []
-        new_weights: list[float] = []
-        new_records: list[dict[int, int]] = []
-        for theta in np.unique(thetas):
-            sel = np.nonzero(thetas == theta)[0]
-            phase = cmath.exp(-1j * theta)
-            for sign, outcome in ((1.0, 0), (-1.0, 1)):
-                proj = (v0[sel] + (sign * phase) * v1[sel]) / _SQRT2
-                p = np.einsum("ij,ij->i", proj, proj.conj()).real
-                for row, branch in enumerate(sel):
-                    if p[row] < _DROP_TOL:
-                        continue
-                    rows.append(proj[row] / math.sqrt(p[row]))
-                    new_weights.append(weights[branch] * p[row])
-                    new_records.append({**records[branch], step.vertex: outcome})
-        reg.drop(step.vertex)
-        for v in retire.get(idx, ()):
-            for rec in new_records:
-                rec.pop(v, None)
-        vecs, weights, records = _merge_branches(rows, new_weights, new_records)
-        if len(weights) > branch_limit:
-            raise BranchLimitError(
-                f"{len(weights)} branches exceed the limit of {branch_limit}"
-            )
-    for out_vertex in pattern.outputs:
-        vecs = reg.touch(out_vertex, vecs)
-    if reg.pending:
-        raise ValueError(f"edges {sorted(reg.pending)} connect only measured vertices")
-    a = len(reg.active)
-    axes_keep = _readout_axes(pattern, reg, readout)
-    m = len(axes_keep)
-    total = np.zeros(1 << m, dtype=float)
-    for b in range(len(weights)):
-        corrected = _apply_corrections(pattern, reg, vecs[b], records[b])
-        probs = (np.abs(corrected) ** 2).reshape((2,) * a)
-        total += weights[b] * _marginal(probs, a, axes_keep)
-    return _distribution_from(total, m)
+#: A register operation.  An int activates a vertex as the new last axis, in
+#: the basis state of that input index, or in |+> for -1; a ``(shape, index)``
+#: pair applies a CZ by negating ``vecs.reshape((B,) + shape)[index]``.
+_Op = Union[int, tuple[tuple[int, ...], tuple[object, ...]]]
 
 
-def _merge_branches(
-    rows: list[np.ndarray],
-    weights: list[float],
-    records: list[dict[int, int]],
-) -> tuple[np.ndarray, list[float], list[dict[int, int]]]:
-    """Collapse branches with equal records and equal states (up to phase).
+class _Plan:
+    """The part of a pattern run that does not depend on outcomes.
 
-    Merging is only an optimization: a missed merge keeps extra branches but
-    never changes the mixture, so the overlap tolerance is kept tight.
+    Vertices are activated when first touched, which is valid because CZ
+    edges commute with everything acting on other vertices.  Activation
+    order and axis positions are therefore structural, and one plan serves
+    every branch, input and policy.  Column ``c`` of an outcome record holds
+    the outcome of step ``c``.
+
+    A step is *fused* when the measured vertex has a neighbour that is not
+    active yet and not an input: that neighbour's |+> preparation and their
+    CZ are folded into the measurement (``_run_batch``), so the register is
+    never doubled first.  Compiled patterns fuse every step.
     """
-    groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    for i, rec in enumerate(records):
-        groups.setdefault(tuple(sorted(rec.items())), []).append(i)
-    out_rows: list[np.ndarray] = []
-    out_w: list[float] = []
-    out_rec: list[dict[int, int]] = []
-    for idxs in groups.values():
-        reps: list[int] = []
-        for i in idxs:
-            for r in reps:
-                if abs(np.vdot(out_rows[r], rows[i])) >= 1.0 - _MERGE_TOL:
-                    out_w[r] += weights[i]
-                    break
-            else:
-                reps.append(len(out_rows))
-                out_rows.append(rows[i])
-                out_w.append(weights[i])
-                out_rec.append(records[i])
-    return np.stack(out_rows), out_w, out_rec
+
+    def __init__(self, pattern: MeasurementPattern) -> None:
+        steps = pattern.steps
+        self.col = {st.vertex: i for i, st in enumerate(steps)}
+        # Per step: s + 2t as a parity code, and exp(-i theta) of the device
+        # angle theta = (-1)^s angle + pi t for each value of s + 2t.
+        self.codes = [_parity_code(self.col, [st.s_domain, st.t_domain]) for st in steps]
+        e = np.exp(-1j * np.array([st.angle for st in steps]))
+        self.phases = np.stack((e, e.conj(), -e, -e.conj()), axis=1)
+        self.live = _live_columns(pattern, self.col)
+        input_index = {v: j for j, v in enumerate(pattern.inputs)}
+        active: list[int] = []
+        pending = set(pattern.edges)
+        by_vertex: dict[int, list[tuple[int, int]]] = {}
+        for edge in pattern.edges:
+            by_vertex.setdefault(edge[0], []).append(edge)
+            by_vertex.setdefault(edge[1], []).append(edge)
+
+        def activate(v: int, ops: list[_Op]) -> None:
+            if len(active) + 1 > MAX_ACTIVE:
+                raise BranchLimitError(
+                    f"pattern needs more than {MAX_ACTIVE} simultaneously active vertices"
+                )
+            ops.append(input_index.get(v, -1))
+            active.append(v)
+
+        def touch(v: int, ops: list[_Op]) -> None:
+            if v not in active:
+                activate(v, ops)
+            for edge in by_vertex.get(v, ()):
+                if edge not in pending:
+                    continue
+                other = edge[1] if edge[0] == v else edge[0]
+                if other not in active:
+                    activate(other, ops)
+                index: list[object] = [slice(None)] * (len(active) + 1)
+                index[1 + active.index(v)] = 1
+                index[1 + active.index(other)] = 1
+                ops.append(((2,) * len(active), tuple(index)))
+                pending.remove(edge)
+
+        def fresh_neighbour(v: int) -> Optional[int]:
+            """Claim the edge to a neighbour of ``v`` that a fused step can
+            prepare, if there is one."""
+            for edge in by_vertex.get(v, ()):
+                other = edge[1] if edge[0] == v else edge[0]
+                if edge in pending and other not in active and other not in input_index:
+                    pending.remove(edge)
+                    return other
+            return None
+
+        self.prepare: list[list[_Op]] = []
+        self.axis: list[int] = []
+        self.fused: list[bool] = []
+        for st in steps:
+            fresh = fresh_neighbour(st.vertex)
+            ops: list[_Op] = []
+            touch(st.vertex, ops)
+            self.prepare.append(ops)
+            self.axis.append(active.index(st.vertex))
+            active.remove(st.vertex)
+            if fresh is not None:
+                active.append(fresh)
+            self.fused.append(fresh is not None)
+        self.finish: list[_Op] = []
+        for v in pattern.outputs:
+            touch(v, self.finish)
+        self.out_axis = [active.index(v) for v in pattern.outputs]
 
 
-def _single_branch(
-    pattern: MeasurementPattern,
-    s_in: str,
-    readout: ReadoutSpec,
-    rng: Optional[np.random.Generator] = None,
-    forced: Optional[dict[int, int]] = None,
-) -> Optional[tuple[float, Distribution]]:
-    """Follow one measurement branch; outcomes from ``rng`` or ``forced``.
+def _live_columns(pattern: MeasurementPattern, col: dict[int, int]) -> list[np.ndarray]:
+    """Per step, the record columns that something references after it."""
+    k = len(pattern.steps)
+    last = list(range(k))
+    for i, st in enumerate(pattern.steps):
+        for v in st.s_domain | st.t_domain:
+            last[col[v]] = i
+    for corr in (*pattern.x_corrections, *pattern.z_corrections):
+        for v in corr:
+            last[col[v]] = k
+    live: list[int] = []
+    out = []
+    for i in range(k):
+        live = [c for c in (*live, i) if last[c] > i]
+        out.append(np.array(live, dtype=np.intp))
+    return out
 
-    Returns (branch probability, corrected readout distribution), or None
-    when a forced outcome has probability ~0 (unreachable branch).
-    """
-    reg = _Register(pattern, s_in)
-    vec = np.ones((1, 1), dtype=complex)
-    record: dict[int, int] = {}
-    prob = 1.0
-    for step in pattern.steps:
-        vec = reg.touch(step.vertex, vec)
-        ax = reg.pos[step.vertex]
-        a = len(reg.active)
-        v0, v1 = _take_halves(vec, a, ax)
-        phase = cmath.exp(-1j * _device_angle(step, record))
-        plus = (v0 + phase * v1) / _SQRT2
-        minus = (v0 - phase * v1) / _SQRT2
-        p_plus = float(np.sum(np.abs(plus) ** 2))
-        p_plus = min(max(p_plus, 0.0), 1.0)
-        if forced is not None:
-            outcome = forced[step.vertex]
+
+def _apply(vecs: np.ndarray, ops: list[_Op], local: list[np.ndarray]) -> np.ndarray:
+    """Run register operations on a ``(B, 2^a)`` batch; ``local[j]`` is the
+    one-qubit state an activation with index ``j`` appends."""
+    for op in ops:
+        if isinstance(op, int):
+            vecs = (vecs[:, :, None] * local[op]).reshape(len(vecs), 2 * vecs.shape[1])
         else:
-            assert rng is not None
-            outcome = int(rng.random() >= p_plus)
-        p = p_plus if outcome == 0 else 1.0 - p_plus
-        if p < _FORCE_TOL:
-            if forced is not None:
-                return None
+            shape, index = op
+            vecs.reshape((len(vecs),) + shape)[index] *= -1.0
+    return vecs
+
+
+def _merge(
+    vecs: np.ndarray, weights: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse rows with equal ``keys`` rows whose states agree up to phase.
+
+    Returns the kept rows' states, their summed weights and their indices.
+    Each round compares every unmatched row with the first unmatched row of
+    its key group, which gives the same result as a greedy first-match
+    merge.  Merging is only an optimization: a missed merge keeps extra
+    branches but never changes the mixture, so the overlap tolerance is
+    kept tight.
+    """
+    n = len(weights)
+    if keys.shape[1]:
+        _, group = np.unique(np.packbits(keys, axis=1), axis=0, return_inverse=True)
+        group = group.reshape(-1)
+    else:
+        group = np.zeros(n, dtype=np.intp)
+    owner = np.empty(n, dtype=np.intp)
+    rep_of = np.empty(n, dtype=np.intp)
+    pending = np.arange(n)
+    while pending.size:
+        g = group[pending]
+        _, first = np.unique(g, return_index=True)
+        rep_of[g[first]] = pending[first]
+        rep = rep_of[g]
+        overlap = np.abs(np.einsum("ij,ij->i", vecs[rep].conj(), vecs[pending]))
+        hit = overlap >= 1.0 - _MERGE_TOL
+        hit[first] = True
+        owner[pending[hit]] = rep[hit]
+        pending = pending[~hit]
+    kept = np.flatnonzero(owner == np.arange(n))
+    merged = np.bincount(owner, weights=weights, minlength=n)[kept]
+    return vecs[kept], merged, kept
+
+
+#: Outcome policy of the batch engine: ``draw(p0, column)`` gets each row's
+#: probability of outcome 0 and the record column of the step, and returns
+#: one outcome per row, or None to split every row into both outcomes.
+_Draw = Callable[[np.ndarray, np.ndarray], Optional[np.ndarray]]
+
+
+def _split(p0: np.ndarray, column: np.ndarray) -> None:
+    return None
+
+
+def _read_column(p0: np.ndarray, column: np.ndarray) -> np.ndarray:
+    return column
+
+
+def _seeded(rng: np.random.Generator) -> _Draw:
+    """One draw per step; an outcome below ``_FORCE_TOL`` is flipped."""
+
+    def draw(p0: np.ndarray, column: np.ndarray) -> np.ndarray:
+        p_plus = min(max(float(p0[0]), 0.0), 1.0)
+        outcome = int(rng.random() >= p_plus)
+        if (p_plus if outcome == 0 else 1.0 - p_plus) < _FORCE_TOL:
             outcome = 1 - outcome
-            p = 1.0 - p
-        chosen = plus if outcome == 0 else minus
-        vec = chosen / math.sqrt(p)
-        prob *= p
-        record[step.vertex] = outcome
-        reg.drop(step.vertex)
-    for out_vertex in pattern.outputs:
-        vec = reg.touch(out_vertex, vec)
-    if reg.pending:
-        raise ValueError(f"edges {sorted(reg.pending)} connect only measured vertices")
-    a = len(reg.active)
-    corrected = _apply_corrections(pattern, reg, vec[0], record)
-    probs = (np.abs(corrected) ** 2).reshape((2,) * a)
-    axes_keep = _readout_axes(pattern, reg, readout)
-    dist = _distribution_from(_marginal(probs, a, axes_keep), len(axes_keep))
-    return prob, dist
+        return np.array([outcome], dtype=np.uint8)
+
+    return draw
+
+
+def _run_batch(
+    pattern: MeasurementPattern,
+    s_in: str,
+    readout: ReadoutSpec,
+    records: np.ndarray,
+    draw: _Draw,
+    branch_limit: float = math.inf,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the pattern on a batch of branches; the engine behind every policy.
+
+    Row b of the batch is one branch: its state over the active vertices
+    (``vecs[b]``, shape ``(B, 2^a)``), its weight, and its outcome record
+    ``records[b]``, a bit row with column ``c`` holding the outcome of step
+    ``c``.  Device angles are parities over record columns, and both
+    projections are taken for all rows at once.  ``draw`` picks outcomes:
+
+    * a split (``_split``) keeps both outcomes of every row and drops rows
+      below ``_DROP_TOL``; rows whose live record bits (those still
+      referenced later) agree and whose states agree up to phase are then
+      merged, and more than ``branch_limit`` rows raise BranchLimitError;
+    * a chosen outcome per row (``_read_column`` reads the pre-filled
+      record, ``_seeded`` draws) drops rows whose outcome has probability
+      below ``_FORCE_TOL``, as unreachable.
+
+    Fused steps (see ``_Plan``) have probability 1/2 for either outcome and
+    never drop a row.
+
+    Returns the rows' weights, shape ``(B,)``, and their X-corrected readout
+    marginals, shape ``(B, 2^m)``.
+    """
+    _check_run(pattern, s_in, readout)
+    plan = pattern._plan
+    local = [_BASIS[int(ch)] for ch in s_in] + [_PLUS]
+    records = records.astype(np.uint8)
+    vecs = np.ones((len(records), 1), dtype=complex)
+    weights = np.ones(len(records))
+    for idx in range(len(pattern.steps)):
+        vecs = _apply(vecs, plan.prepare[idx], local)
+        b = len(vecs)
+        psi = vecs.reshape(b, 1 << plan.axis[idx], 2, -1)
+        phase = plan.phases[idx][_eval_code(records, plan.codes[idx])]
+        # proj[0] / proj[1]: projections onto |+_theta> / |-_theta>
+        proj = (psi[:, :, 0] + _SIGNS * (phase[:, None, None] * psi[:, :, 1])) / _SQRT2
+        if plan.fused[idx]:
+            # A fresh |+> neighbour w of the measured vertex enters as the
+            # new last axis with their CZ folded in: outcome o leaves
+            # proj[o] on w = 0 and proj[1 - o] on w = 1, each with
+            # probability 1/2 and already normalized.
+            post = np.empty(proj.shape + (2,), dtype=complex)
+            post[..., 0] = proj
+            post[..., 1] = proj[::-1]
+            post = post.reshape(2, b, -1)
+            p = np.full((2, b), 0.5)
+        else:
+            post = proj.reshape(2, b, -1)
+            flat = post.view(np.float64)
+            p = np.einsum("oij,oij->oi", flat, flat)
+        outcome = draw(p[0], records[:, idx])
+        if outcome is None:
+            vecs, p = post.reshape(2 * b, -1), p.reshape(-1)
+            weights = np.concatenate((weights, weights))
+            records = np.concatenate((records, records))
+            records[:b, idx] = 0
+            records[b:, idx] = 1
+            tol = _DROP_TOL
+        else:
+            one = outcome.astype(bool)
+            vecs, p = np.where(one[:, None], post[1], post[0]), np.where(one, p[1], p[0])
+            records[:, idx] = outcome
+            tol = _FORCE_TOL
+        if not plan.fused[idx]:
+            keep = p >= tol
+            if not keep.all():
+                vecs, p, weights, records = vecs[keep], p[keep], weights[keep], records[keep]
+                if not len(p):  # every forced assignment was unreachable
+                    return weights, np.zeros((0, 1 << len(readout.qubits)))
+            vecs = vecs / np.sqrt(p)[:, None]
+        weights = weights * p
+        if outcome is None:
+            vecs, weights, kept = _merge(vecs, weights, records[:, plan.live[idx]])
+            records = records[kept]
+            if len(weights) > branch_limit:
+                raise BranchLimitError(
+                    f"{len(weights)} branches exceed the limit of {branch_limit}"
+                )
+    vecs = _apply(vecs, plan.finish, local)
+    axes = tuple(plan.out_axis[q] for q in readout.qubits)
+    marg = marginal_probabilities(vecs.real**2 + vecs.imag**2, len(plan.out_axis), axes)
+    # X corrections flip readout bits (bit m-1-j for readout position j);
+    # Z corrections are diagonal and leave readout probabilities unchanged.
+    flips = [pattern.x_corrections[q] for q in reversed(readout.qubits)]
+    mask = _eval_code(records, _parity_code(plan.col, flips))
+    outcomes = np.arange(marg.shape[1])
+    return weights, np.take_along_axis(marg, outcomes ^ mask[:, None], axis=1)
 
 
 def simulate_pattern(
@@ -537,22 +633,35 @@ def simulate_pattern(
 ) -> Distribution:
     """Readout distribution of a pattern run on basis input ``s_in``.
 
-    ``"enumerate-all"`` returns the exact mixture over measurement branches;
-    ``"seeded-random"`` follows a single branch drawn from ``seed``.  The
-    two agree whenever the pattern is deterministic (compiled patterns are).
-    ``readout`` defaults to all wires in order.
+    ``"enumerate-all"`` returns the exact mixture over measurement branches.
+    It splits every branch at every measurement, drops branches of
+    probability below ``_DROP_TOL``, forgets outcome bits nothing references
+    any more, and merges branches whose records and states then agree.  Even
+    so the live branch count of a compiled pattern grows about as 4^wires
+    (64 at 2 wires; thousands to tens of thousands at 5 and 6 wires), and
+    more than ``branch_limit`` live branches raise BranchLimitError.
+    ``"seeded-random"`` follows one branch drawn from ``seed``, at the cost
+    of a single run; it equals the mixture whenever the pattern is
+    deterministic, which compiled patterns are (see
+    ``branch_determinism_check``).  ``readout`` defaults to all wires in
+    order.
     """
     if readout is None:
         readout = ReadoutSpec(tuple(range(pattern.wires)))
+    start = np.zeros((1, len(pattern.steps)), dtype=np.uint8)
     if policy == "enumerate-all":
-        return _enumerate_branches(pattern, s_in, readout, branch_limit)
+        weights, marg = _run_batch(pattern, s_in, readout, start, _split, branch_limit)
+        return Distribution.from_probabilities(weights @ marg)
     if policy == "seeded-random":
-        result = _single_branch(
-            pattern, s_in, readout, rng=np.random.default_rng(seed)
-        )
-        assert result is not None
-        return result[1]
+        rng = np.random.default_rng(seed)
+        _, marg = _run_batch(pattern, s_in, readout, start, _seeded(rng))
+        return Distribution.from_probabilities(marg[0])
     raise ValueError(f"unknown policy {policy!r}")
+
+
+#: Forced assignments the exhaustive check simulates as one batch; bounds
+#: the batch's memory when 2^k is large.
+_FORCED_BATCH = 1 << 10
 
 
 def branch_determinism_check(
@@ -568,54 +677,46 @@ def branch_determinism_check(
 ) -> bool:
     """Whether every measurement branch yields the same corrected readout.
 
-    Branches are forced outcome assignments; unreachable ones (probability
-    ~0) are skipped.  ``mode="auto"`` enumerates all 2^k assignments for up
-    to 8 measured vertices and falls back to ``samples`` seeded random
-    assignments beyond that; ``"exhaustive"`` always enumerates (refusing
-    above ``exhaustive_limit``); ``"sampled"`` always samples.
+    ``mode="auto"`` returns True at once when the pattern carries a causal
+    flow certificate (its domains are exactly those a causal flow induces,
+    which holds for every compiled pattern, and proves determinism); other
+    patterns get the exhaustive check.  ``"exhaustive"`` simulates all 2^k
+    forced outcome assignments of the k measured vertices, refusing above
+    ``exhaustive_limit`` (also when ``"auto"`` falls back to it);
+    ``"sampled"`` simulates ``samples`` seeded random assignments.  Forced
+    branches of probability ~0 are unreachable and skipped; the others must
+    agree with the first within total variation distance ``tol``.
     """
-    k = len(pattern.steps)
-    if k == 0:
-        return True
-    if mode == "auto":
-        exhaustive = k <= 8
-    elif mode == "exhaustive":
-        if (1 << k) > exhaustive_limit:
-            raise BranchLimitError(
-                f"2**{k} assignments exceed the exhaustive limit {exhaustive_limit}"
-            )
-        exhaustive = True
-    elif mode == "sampled":
-        exhaustive = False
-    else:
+    if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if readout is None:
         readout = ReadoutSpec(tuple(range(pattern.wires)))
-    order = [st.vertex for st in pattern.steps]
-    if exhaustive:
-        assignments = (
-            {v: (code >> i) & 1 for i, v in enumerate(order)}
-            for code in range(1 << k)
+    _check_run(pattern, s_in, readout)
+    if mode == "auto" and _flow_certificate(pattern):
+        return True
+    k = len(pattern.steps)
+    if mode == "sampled":
+        rng = np.random.default_rng(seed)
+        batches = [np.unique(rng.integers(0, 2, size=(samples, k)), axis=0)]
+    elif (1 << k) > exhaustive_limit:
+        raise BranchLimitError(
+            f"2**{k} assignments exceed the exhaustive limit {exhaustive_limit}"
         )
     else:
-        rng = np.random.default_rng(seed)
-        bits = np.unique(rng.integers(0, 2, size=(samples, k)), axis=0)
-        assignments = ({v: int(row[i]) for i, v in enumerate(order)} for row in bits)
-    reference: Optional[Distribution] = None
-    for forced in assignments:
-        result = _single_branch(pattern, s_in, readout, forced=forced)
-        if result is None:
-            continue
-        _, dist = result
-        if reference is None:
-            reference = dist
-            continue
-        tvd = 0.5 * sum(
-            abs(reference[key] - dist[key])
-            for key in set(reference.entries) | set(dist.entries)
+        bit = np.arange(k)
+        batches = (
+            (np.arange(lo, min(lo + _FORCED_BATCH, 1 << k))[:, None] >> bit) & 1
+            for lo in range(0, 1 << k, _FORCED_BATCH)
         )
-        if tvd > tol:
-            return False
+    reference: Optional[Distribution] = None
+    for forced in batches:
+        _, marg = _run_batch(pattern, s_in, readout, forced, _read_column)
+        for row in marg:
+            dist = Distribution.from_probabilities(row)
+            if reference is None:
+                reference = dist
+            elif total_variation_distance(reference, dist) > tol:
+                return False
     return True
 
 
@@ -652,8 +753,39 @@ def pattern_to_json(pattern: MeasurementPattern) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _json_int(value: object) -> int:
+    # bool is a subclass of int, so ``false`` would pass a plain isinstance.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _json_ints(values: object) -> list[int]:
+    if not isinstance(values, list):
+        raise ValueError(f"expected a JSON list of integers, got {values!r}")
+    return [_json_int(v) for v in values]
+
+
+def _json_angle(value: object) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"expected a JSON number for an angle, got {value!r}")
+    return float(value)
+
+
+def _json_edge(value: object) -> tuple[int, int]:
+    pair = _json_ints(value)
+    if len(pair) != 2:
+        raise ValueError(f"an edge is a pair of vertices, got {value!r}")
+    return pair[0], pair[1]
+
+
 def pattern_from_json(text: str) -> MeasurementPattern:
-    """Inverse of ``pattern_to_json``; revalidates everything."""
+    """Inverse of ``pattern_to_json``; revalidates everything.
+
+    Vertices, edge ends, domain entries and correction outputs must be JSON
+    integers and angles JSON numbers; booleans and strings are rejected
+    rather than coerced.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -663,31 +795,29 @@ def pattern_from_json(text: str) -> MeasurementPattern:
     try:
         steps = tuple(
             MeasureStep(
-                vertex=int(st["vertex"]),
-                angle=float(st["angle"]),
-                s_domain=frozenset(int(v) for v in st["s"]),
-                t_domain=frozenset(int(v) for v in st["t"]),
+                vertex=_json_int(st["vertex"]),
+                angle=_json_angle(st["angle"]),
+                s_domain=frozenset(_json_ints(st["s"])),
+                t_domain=frozenset(_json_ints(st["t"])),
             )
             for st in doc["steps"]
         )
         corr = doc["corrections"]
-        outputs = tuple(int(v) for v in doc["outputs"])
-        by_output = {int(c["output"]): c for c in corr}
-        if set(by_output) != set(outputs):
-            raise ValueError("corrections must cover exactly the outputs")
+        outputs = tuple(_json_ints(doc["outputs"]))
+        by_output = {_json_int(c["output"]): c for c in corr}
+        if len(by_output) != len(corr) or set(by_output) != set(outputs):
+            raise ValueError("corrections must cover each output exactly once")
         return MeasurementPattern(
-            vertices=frozenset(int(v) for v in doc["vertices"]),
-            edges=frozenset(
-                (int(e[0]), int(e[1])) for e in doc["edges"]
-            ),
-            inputs=tuple(int(v) for v in doc["inputs"]),
+            vertices=frozenset(_json_ints(doc["vertices"])),
+            edges=frozenset(_json_edge(e) for e in doc["edges"]),
+            inputs=tuple(_json_ints(doc["inputs"])),
             outputs=outputs,
             steps=steps,
             x_corrections=tuple(
-                frozenset(int(v) for v in by_output[o]["x"]) for o in outputs
+                frozenset(_json_ints(by_output[o]["x"])) for o in outputs
             ),
             z_corrections=tuple(
-                frozenset(int(v) for v in by_output[o]["z"]) for o in outputs
+                frozenset(_json_ints(by_output[o]["z"])) for o in outputs
             ),
         )
     except (KeyError, TypeError) as exc:

@@ -1,12 +1,18 @@
 """Tests for the measurement-pattern compiler and branch simulator."""
 
+import dataclasses
 import itertools
+import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qpc import (
     BranchLimitError,
+    CZGate,
     MeasurementPattern,
     MeasureStep,
     ReadoutSpec,
@@ -16,10 +22,11 @@ from qpc import (
     parse_program,
     pattern_from_json,
     pattern_to_json,
+    Program,
     simulate_pattern,
     total_variation_distance,
 )
-from qpc.oneway import zxz_euler
+from qpc.oneway import _flow_certificate, zxz_euler
 from qpc.program_ir import RotationGate
 from conftest import random_program
 
@@ -102,6 +109,55 @@ def naive_pattern_distribution(pattern, s_in, readout):
     from qpc import Distribution
 
     return Distribution(entries)
+
+
+def strip_dependencies(pattern):
+    """The pattern with every dependency domain and correction set emptied."""
+    return dataclasses.replace(
+        pattern,
+        steps=tuple(
+            MeasureStep(step.vertex, step.angle, frozenset(), frozenset())
+            for step in pattern.steps
+        ),
+        x_corrections=(frozenset(),) * pattern.wires,
+        z_corrections=(frozenset(),) * pattern.wires,
+    )
+
+
+def single_domain_mutants(pattern):
+    """Valid patterns that differ from ``pattern`` by one vertex in one
+    s/t domain or correction set."""
+    steps = pattern.steps
+    measured = [step.vertex for step in steps]
+    for i, step in enumerate(steps):
+        for v in measured[:i]:
+            for name in ("s_domain", "t_domain"):
+                changed = dataclasses.replace(step, **{name: getattr(step, name) ^ {v}})
+                yield dataclasses.replace(
+                    pattern, steps=steps[:i] + (changed,) + steps[i + 1:]
+                )
+    for j in range(pattern.wires):
+        for v in measured:
+            for name in ("x_corrections", "z_corrections"):
+                sets = list(getattr(pattern, name))
+                sets[j] = sets[j] ^ {v}
+                yield dataclasses.replace(pattern, **{name: tuple(sets)})
+
+
+@st.composite
+def small_programs(draw):
+    """Programs on 1-4 wires with at most 3 rotations (12 measurements)."""
+    wires = draw(st.integers(1, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.integers(1, 4))
+        k = draw(st.tuples(*[st.integers(0, 2 ** m - 1)] * 3))
+        gates.append(RotationGate(draw(st.integers(0, wires - 1)), k, m))
+    for _ in range(draw(st.integers(0, 4)) if wires > 1 else 0):
+        a, b = draw(st.lists(st.integers(0, wires - 1), min_size=2, max_size=2, unique=True))
+        gates.insert(draw(st.integers(0, len(gates))), CZGate(a, b))
+    assume(gates)
+    return Program(tuple(gates))
 
 
 class TestEulerDecomposition:
@@ -260,20 +316,57 @@ class TestSimulation:
             assert total_variation_distance(mbqc, exact) < 1e-9
 
     def test_matches_naive_dense_reference(self):
+        """Every policy of the batch engine against the dense reference,
+        on compiled patterns and on non-deterministic stripped copies."""
         rng = np.random.default_rng(56)
-        programs = [
-            "R 0 3 5 7 4",
-            "R 0 1 2 3 3\nR 0 3 0 1 2",
-            "R 0 5 1 2 3\nCZ 0 1\nR 1 2 2 2 2",
+        cases = [
+            ("R 0 3 5 7 4", None),
+            ("R 0 1 2 3 3\nR 0 3 0 1 2", None),
+            ("R 0 5 1 2 3\nCZ 0 1\nR 1 2 2 2 2", None),
+            ("R 0 1 2 3 3\nCZ 0 1\nR 1 3 1 0 2\nCZ 1 2", (2, 0)),
+            ("CZ 0 1\nR 1 5 3 1 3\nCZ 1 2\nR 0 2 0 1 2", (1,)),
+            ("R 0 0 0 0 1\nCZ 0 1\nCZ 1 2\nR 2 1 1 0 1", (2, 1, 0)),
         ]
-        for text in programs:
+        for seed, (text, qubits) in enumerate(cases):
             program = parse_program(text)
             width = program.width
             s_in = "".join(rng.choice(["0", "1"], size=width))
             pattern = compile_to_pattern(program)
-            readout = ReadoutSpec(tuple(range(width)))
-            fast = simulate_pattern(pattern, s_in, readout)
+            readout = ReadoutSpec(tuple(range(width)) if qubits is None else qubits)
             slow = naive_pattern_distribution(pattern, s_in, readout)
+            for policy in ("enumerate-all", "seeded-random"):
+                fast = simulate_pattern(pattern, s_in, readout, policy=policy, seed=seed)
+                assert total_variation_distance(fast, slow) < 1e-10
+            stripped = strip_dependencies(pattern)
+            fast = simulate_pattern(stripped, s_in, readout)
+            slow = naive_pattern_distribution(stripped, s_in, readout)
+            assert total_variation_distance(fast, slow) < 1e-10
+
+    def test_unfused_steps_match_naive_dense_reference(self):
+        """Steps without a fresh neighbour take the general projection path.
+        Vertex 4 is isolated at angle 0 (its outcome 1 has probability 0);
+        vertex 5 is isolated at pi/2, so both outcomes leave equal states
+        and only its record bit, read two steps later, tells them apart;
+        vertex 1 is measured after all its neighbours are active."""
+        pattern = MeasurementPattern(
+            vertices=frozenset(range(6)),
+            edges=frozenset({(0, 1), (0, 2), (1, 2), (2, 3)}),
+            inputs=(0,),
+            outputs=(3,),
+            steps=(
+                MeasureStep(4, 0.0),
+                MeasureStep(5, np.pi / 2),
+                MeasureStep(0, 0.3),
+                MeasureStep(1, 0.7, frozenset({0}), frozenset({4, 5})),
+                MeasureStep(2, 1.1, frozenset({1}), frozenset({0})),
+            ),
+            x_corrections=(frozenset({2}),),
+            z_corrections=(frozenset({1}),),
+        )
+        assert not all(pattern._plan.fused)
+        for s_in in ("0", "1"):
+            fast = simulate_pattern(pattern, s_in)
+            slow = naive_pattern_distribution(pattern, s_in, ReadoutSpec((0,)))
             assert total_variation_distance(fast, slow) < 1e-10
 
     def test_subset_readout(self):
@@ -317,20 +410,7 @@ class TestDeterminism:
 
     def test_deleted_dependency_breaks_determinism(self):
         pattern = compile_to_pattern(parse_program("R 0 3 5 7 4"))
-        stripped = tuple(
-            MeasureStep(step.vertex, step.angle, frozenset(), frozenset())
-            for step in pattern.steps
-        )
-        broken = MeasurementPattern(
-            vertices=pattern.vertices,
-            edges=pattern.edges,
-            inputs=pattern.inputs,
-            outputs=pattern.outputs,
-            steps=stripped,
-            x_corrections=(frozenset(),),
-            z_corrections=(frozenset(),),
-        )
-        assert not branch_determinism_check(broken, "0")
+        assert not branch_determinism_check(strip_dependencies(pattern), "0")
 
     def test_zero_measured_vertices_vacuously_true(self):
         pattern = compile_to_pattern(parse_program("CZ 0 1"))
@@ -349,6 +429,102 @@ class TestDeterminism:
         pattern = compile_to_pattern(program)
         assert branch_determinism_check(pattern, "00", mode="exhaustive")
         assert branch_determinism_check(pattern, "00", mode="sampled", samples=16)
+
+    @settings(max_examples=40, deadline=None)
+    @given(program=small_programs(), data=st.data())
+    def test_certificate_holds_and_exhaustive_agrees(self, program, data):
+        pattern = pattern_from_json(pattern_to_json(compile_to_pattern(program)))
+        s_in = data.draw(st.text("01", min_size=pattern.wires, max_size=pattern.wires))
+        assert _flow_certificate(pattern)
+        assert branch_determinism_check(pattern, s_in, mode="exhaustive")
+
+    def test_single_domain_mutants_are_not_certified(self):
+        pattern = compile_to_pattern(parse_program("R 0 3 5 7 4\nCZ 0 1\nR 1 1 2 3 3"))
+        nondeterministic = 0
+        mutants = list(single_domain_mutants(pattern))
+        for mutant in mutants:
+            certified = _flow_certificate(mutant)
+            deterministic = branch_determinism_check(mutant, "01", mode="exhaustive")
+            assert not (certified and not deterministic)
+            assert not certified
+            nondeterministic += not deterministic
+        assert len(mutants) == 88
+        assert nondeterministic >= len(mutants) // 4
+
+    def test_certificate_rejects_broken_flow_conditions(self):
+        """Domains induced by an X-domain map that is not a flow: the flow
+        target of vertex 0 is an input, or that of vertex 1 is not its
+        neighbour.  Both patterns are non-deterministic."""
+        fs = frozenset
+        onto_input = MeasurementPattern(
+            vertices=fs({0, 1}),
+            edges=fs({(0, 1)}),
+            inputs=(1,),
+            outputs=(1,),
+            steps=(MeasureStep(0, 0.4),),
+            x_corrections=(fs({0}),),
+            z_corrections=(fs(),),
+        )
+        not_adjacent = MeasurementPattern(
+            vertices=fs(range(4)),
+            edges=fs({(0, 1), (1, 2), (2, 3)}),
+            inputs=(0,),
+            outputs=(3,),
+            steps=(
+                MeasureStep(0, 0.4),
+                MeasureStep(1, 0.9, fs({0}), fs()),
+                MeasureStep(2, 1.7, fs(), fs({0, 1})),
+            ),
+            x_corrections=(fs({1, 2}),),
+            z_corrections=(fs(),),
+        )
+        for pattern in (onto_input, not_adjacent):
+            assert not _flow_certificate(pattern)
+            assert not branch_determinism_check(pattern, "0")
+
+    def test_unreachable_branches_are_skipped(self):
+        program = parse_program(BELL_TYPE)
+        pattern = compile_to_pattern(program)
+        idle = max(pattern.vertices) + 1
+        padded = dataclasses.replace(
+            pattern,
+            vertices=pattern.vertices | {idle},
+            steps=(MeasureStep(idle, 0.0),) + pattern.steps,
+        )
+        assert not _flow_certificate(padded)
+        assert branch_determinism_check(padded, "01")
+        exact = exact_distribution(program, "01", ReadoutSpec((0, 1)))
+        assert total_variation_distance(simulate_pattern(padded, "01"), exact) < 1e-10
+
+    def test_certified_path_still_validates_input_and_readout(self):
+        pattern = compile_to_pattern(parse_program(BELL_TYPE))
+        assert _flow_certificate(pattern)
+        for s_in in ("0", "000", "0a"):
+            with pytest.raises(ValueError):
+                branch_determinism_check(pattern, s_in)
+        with pytest.raises(ValueError):
+            branch_determinism_check(pattern, "00", ReadoutSpec((2,)))
+
+    def test_auto_mode_does_not_sample_uncertified_patterns(self):
+        program = parse_program("\n".join("R 0 1 1 1 2" for _ in range(6)))
+        broken = strip_dependencies(compile_to_pattern(program))
+        with pytest.raises(BranchLimitError):
+            branch_determinism_check(broken, "0")
+        assert not branch_determinism_check(broken, "0", mode="sampled")
+
+    def test_wide_pattern_is_certified_fast(self):
+        rng = np.random.default_rng(60)
+        program = random_program(rng, 8, 120)
+        width = program.width
+        s_in = "".join(rng.choice(["0", "1"], size=width))
+        pattern = compile_to_pattern(program)
+        start = time.perf_counter()
+        assert branch_determinism_check(pattern, s_in)
+        assert time.perf_counter() - start < 1.0
+        readout = ReadoutSpec(tuple(range(width)))
+        single = simulate_pattern(pattern, s_in, readout, policy="seeded-random", seed=4)
+        exact = exact_distribution(program, s_in, readout)
+        assert total_variation_distance(single, exact) <= 1e-9
 
 
 class TestSerialization:
@@ -372,6 +548,34 @@ class TestSerialization:
         text = pattern_to_json(pattern).replace("oneway-pattern/1", "other/9")
         with pytest.raises(ValueError):
             pattern_from_json(text)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d["steps"][0].update(vertex=d["steps"][0]["vertex"] + 0.7),
+            lambda d: d["vertices"].__setitem__(0, False),
+            lambda d: d["steps"][0].update(angle="1.5"),
+            lambda d: d["steps"][0].update(angle=True),
+            lambda d: d["edges"][0].__setitem__(1, float(d["edges"][0][1])),
+            lambda d: d["edges"][0].append(7),
+            lambda d: d["inputs"].__setitem__(1, True),
+            lambda d: d["outputs"].__setitem__(0, float(d["outputs"][0])),
+            lambda d: d["steps"][1]["s"].__setitem__(0, float(d["steps"][1]["s"][0])),
+            lambda d: d["steps"][2]["t"].__setitem__(0, str(d["steps"][2]["t"][0])),
+            lambda d: d["corrections"][0].update(output=float(d["corrections"][0]["output"])),
+            lambda d: d["corrections"][0]["x"].__setitem__(0, float(d["corrections"][0]["x"][0])),
+        ],
+        ids=[
+            "float-vertex", "bool-vertex", "string-angle", "bool-angle", "float-edge-end",
+            "edge-triple", "bool-input", "float-output", "float-s-entry", "string-t-entry",
+            "float-correction-output", "float-x-entry",
+        ],
+    )
+    def test_non_integer_fields_rejected(self, corrupt):
+        doc = json.loads(pattern_to_json(compile_to_pattern(parse_program(BELL_TYPE))))
+        corrupt(doc)
+        with pytest.raises(ValueError):
+            pattern_from_json(json.dumps(doc))
 
     def test_round_trip_preserves_simulation(self):
         program = parse_program(BELL_TYPE)
