@@ -22,7 +22,15 @@ from typing import Union
 
 import numpy as np
 
-from .program_ir import ParseError, RotationGate, CZ_MATRIX, PAULI_X, PAULI_Y, PAULI_Z
+from .program_ir import (
+    ParseError,
+    RotationGate,
+    CZ_MATRIX,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    parse_gate_fields,
+)
 from .statevec import (
     PureState,
     apply_single_qubit,
@@ -330,10 +338,7 @@ def _parse_single_op(fields: list[str], line_no: int) -> np.ndarray:
     if name == "R":
         if len(fields) != 5:
             raise ParseError(line_no, "R expects kx ky kz m")
-        try:
-            kx, ky, kz, m = (int(f) for f in fields[1:])
-        except ValueError:
-            raise ParseError(line_no, "non-integer rotation field") from None
+        kx, ky, kz, m = parse_gate_fields(fields[1:], line_no)
         try:
             return RotationGate(0, (kx, ky, kz), m).matrix()
         except ValueError as exc:
@@ -353,8 +358,9 @@ def run_script(
         MEASURE <species>
         COOL <species>
 
-    Returns the final chain and one event record per instruction (bulk
-    measurement outcomes included).  All randomness comes from ``seed``.
+    ``R`` fields follow the ``.qprog`` rules (ASCII digits only).  Returns
+    the final chain and one event record per instruction (bulk measurement
+    outcomes included).  All randomness comes from ``seed``.
     """
     rng = np.random.default_rng(seed)
     events: list[dict] = []

@@ -14,8 +14,10 @@ The text format (``.qprog``) is line based, one gate per line::
     R <target> <k_x> <k_y> <k_z> <m>
     CZ <control> <target>
 
-Blank lines and ``#`` comments are ignored.  ``parse_program`` and
-``render_program`` are exact inverses on valid programs.
+Blank lines and ``#`` comments are ignored.  Every numeric field is a
+non-negative decimal integer written in ASCII digits (``[0-9]+``).
+``parse_program`` and ``render_program`` are exact inverses on valid
+programs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -180,6 +182,18 @@ def program_size(program: Program) -> int:
     return sum(g.size for g in program.gates)
 
 
+def parse_gate_fields(fields: Sequence[str], line_no: int) -> tuple[int, ...]:
+    """Integer gate fields of one text line, each ``[0-9]+`` in ASCII.
+
+    ``int()`` alone would also accept a sign, ``_`` separators and non-ASCII
+    digits such as ``"١"`` or ``"３"``; none of them is part of the formats.
+    """
+    for field in fields:
+        if not (field.isascii() and field.isdigit()):
+            raise ParseError(line_no, f"gate field {field!r} is not a decimal integer")
+    return tuple(map(int, fields))
+
+
 def parse_program(text: str) -> Program:
     """Parse ``.qprog`` text into a Program.
 
@@ -196,10 +210,7 @@ def parse_program(text: str) -> Program:
         if mnemonic == "R":
             if len(fields) != 6:
                 raise ParseError(line_no, f"R expects 5 fields, got {len(fields) - 1}")
-            try:
-                target, kx, ky, kz, m = (int(f) for f in fields[1:])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer field in {line!r}") from None
+            target, kx, ky, kz, m = parse_gate_fields(fields[1:], line_no)
             try:
                 gates.append(RotationGate(target, (kx, ky, kz), m))
             except ValueError as exc:
@@ -207,10 +218,7 @@ def parse_program(text: str) -> Program:
         elif mnemonic == "CZ":
             if len(fields) != 3:
                 raise ParseError(line_no, f"CZ expects 2 fields, got {len(fields) - 1}")
-            try:
-                control, target = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer field in {line!r}") from None
+            control, target = parse_gate_fields(fields[1:], line_no)
             try:
                 gates.append(CZGate(control, target))
             except ValueError as exc:

@@ -301,6 +301,16 @@ class TestScripts:
         amps = final.state.amplitudes
         assert abs(amps[int("1010", 2)]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "gate",
+        ["R +1 0 0 3", "R 1_0 0 0 8", "R 1 0 0 \uff13", "R \u0661 0 0 3", "R -1 0 0 3"],
+    )
+    def test_script_rotation_fields_are_ascii_decimal_integers(self, gate):
+        chain = chain_from_bits("AB", "0000")
+        with pytest.raises(ParseError) as info:
+            run_script(chain, "PULSE A X\nPULSE B " + gate)
+        assert info.value.line_no == 2
+
     def test_script_errors_carry_line_numbers(self):
         chain = chain_from_bits("AB", "0000")
         with pytest.raises(ParseError) as info:

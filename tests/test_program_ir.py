@@ -129,6 +129,22 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_program("H 0")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "R +0 1 0 0 3",
+            "R 0 1_0 0 0 8",
+            "R 0 1 0 0 \uff13",  # fullwidth digit three
+            "CZ \u0661 0",  # Arabic-Indic digit one
+            "CZ -1 0",
+            "R 0 1.0 0 0 3",
+        ],
+    )
+    def test_fields_are_ascii_decimal_integers(self, line):
+        with pytest.raises(ParseError) as info:
+            parse_program("CZ 0 1\n" + line)
+        assert info.value.line_no == 2
+
     def test_round_trip_structural_equality(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

@@ -1,11 +1,16 @@
 """Tests for the exact statevector engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpc import (
     CZGate,
     Distribution,
+    Program,
     PureState,
     ReadoutSpec,
     RotationGate,
@@ -22,6 +27,41 @@ from qpc.statevec import apply_gate, state_distribution
 from conftest import random_program
 
 BELL_TYPE = "R 0 0 32 0 8\nR 1 0 32 0 8\nCZ 0 1"
+
+
+@st.composite
+def fusion_cases(draw):
+    """(program, s_in) whose gate order exercises every pending-matrix case.
+
+    Segments are runs of Z-only rotations on one wire, same-wire rotations
+    of mixed kinds, identity rotations (k = (0, 0, 0)) and CZs, so
+    rotations on a wire sit on both sides of the CZs that touch it.  The
+    input may be wider than the program.
+    """
+    wires = draw(st.integers(1, 4))
+    wire = st.integers(0, wires - 1)
+    m = draw(st.integers(1, 5))
+    numerator = st.integers(0, (1 << m) - 1)
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["z-run", "mixed-run", "identity", "cz"]))
+        if kind == "cz" and wires > 1:
+            a, b = draw(st.lists(wire, min_size=2, max_size=2, unique=True))
+            gates.append(CZGate(a, b))
+        elif kind == "identity":
+            gates.append(RotationGate(draw(wire), (0, 0, 0), m))
+        else:
+            q = draw(wire)
+            for _ in range(draw(st.integers(1, 3))):
+                kz = draw(numerator)
+                if kind == "z-run":
+                    gates.append(RotationGate(q, (0, 0, kz), m))
+                else:
+                    gates.append(RotationGate(q, (draw(numerator), draw(numerator), kz), m))
+    program = Program(tuple(gates))
+    extra = draw(st.integers(0, 2))
+    bits = draw(st.lists(st.sampled_from("01"), min_size=wires + extra, max_size=wires + extra))
+    return program, "".join(bits)
 
 
 class TestInit:
@@ -49,6 +89,11 @@ class TestPureState:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             PureState(1, np.array([1.0, 1.0], dtype=complex))
+
+    def test_non_finite_amplitudes_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                PureState(1, np.array([bad, 1.0], dtype=complex))
 
     def test_amplitudes_frozen(self):
         state = init_from_bitstring("0")
@@ -102,6 +147,29 @@ class TestRunProgram:
     def test_input_may_exceed_program_width(self):
         state = run_program(parse_program("R 0 64 0 0 8"), "00")
         np.testing.assert_allclose(state.amplitudes, [0, 0, -1j, 0], atol=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fusion_cases())
+    def test_matches_gate_by_gate_fold(self, case):
+        program, s_in = case
+        expected = init_from_bitstring(s_in)
+        for gate in program.gates:
+            expected = apply_gate(expected, gate)
+        state = run_program(program, s_in)
+        assert np.max(np.abs(state.amplitudes - expected.amplitudes)) <= 1e-12
+
+    def test_peak_memory_is_three_state_vectors(self):
+        n = 16
+        program = random_program(np.random.default_rng(46), n, 120)
+        run_program(program, "0" * n)
+        tracemalloc.start()
+        try:
+            run_program(program, "0" * n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # three vectors: the buffer and the two that apply_single_qubit allocates
+        assert peak <= 3 * (1 << n) * 16 + (1 << 18)
 
     def test_agrees_with_dense_unitary(self):
         rng = np.random.default_rng(42)
@@ -175,6 +243,26 @@ class TestDistributions:
             Distribution({"0": 0.9})
         with pytest.raises(ValueError):
             Distribution({"0": 0.5, "ab": 0.5})
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"0": np.nan, "1": 1.0},
+            {"0": 1.0, "1": np.nan},
+            {"0": np.inf, "1": 0.0},
+            {"": 1.0},
+            {},
+            {"0": 0.5, "01": 0.5},
+            {"0 ": 1.0},
+        ],
+    )
+    def test_non_finite_and_malformed_rejected(self, entries):
+        with pytest.raises(ValueError):
+            Distribution(entries)
+
+    def test_non_numeric_probability_rejected(self):
+        with pytest.raises((TypeError, ValueError)):
+            Distribution({"0": "0.5", "1": 0.5})
 
     def test_tvd(self):
         a = Distribution({"0": 1.0, "1": 0.0})
