@@ -19,9 +19,9 @@ checked once per program rather than once per gate.  Rotations on one
 wire are multiplied into a pending 2x2 matrix for that wire.  A pending
 matrix is applied only when a CZ touches its wire and it is not diagonal
 (a diagonal matrix commutes with CZ), or at the end of the program.
-Diagonal matrices and CZs act in place on the buffer (scalar multiplies on
-a half or a quarter of it); only non-diagonal matrices go through
-``apply_single_qubit``.
+Every gate acts in place on the buffer: a diagonal matrix scales its two
+halves, any other matrix combines them through one half-size copy, and a
+CZ negates a quarter.  No more than two state vectors are alive at once.
 """
 
 from __future__ import annotations
@@ -244,14 +244,25 @@ def _is_diagonal(matrix: np.ndarray) -> bool:
     return matrix[0, 1] == 0 and matrix[1, 0] == 0
 
 
-def _apply_diagonal(vec: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> None:
-    """In place: scale the qubit = 0 and qubit = 1 halves of ``vec`` by the
-    diagonal entries of ``matrix``; a unit entry is skipped."""
+def _apply_in_place(vec: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> None:
+    """In place: apply a 2x2 matrix to one qubit of ``vec``.
+
+    A diagonal matrix scales the qubit = 0 and qubit = 1 halves; any other
+    needs half a vector saved and half a vector of products, so the peak is
+    one vector beside the buffer (``apply_single_qubit`` allocates two).
+    """
     view = vec.reshape(1 << qubit, 2, 1 << (n - 1 - qubit))
-    for bit in (0, 1):
-        if matrix[bit, bit] != 1:
-            half = view[:, bit]
-            half *= matrix[bit, bit]
+    lo, hi = view[:, 0], view[:, 1]
+    if _is_diagonal(matrix):
+        lo *= matrix[0, 0]
+        hi *= matrix[1, 1]
+        return
+    saved = lo.copy()
+    lo *= matrix[0, 0]
+    lo += matrix[0, 1] * hi
+    hi *= matrix[1, 1]
+    saved *= matrix[1, 0]
+    hi += saved
 
 
 def _flip_cz_quarter(vec: np.ndarray, n: int, qubit_a: int, qubit_b: int) -> None:
@@ -269,9 +280,9 @@ def run_program(program: Program, s_in: str) -> PureState:
     multiplied into one pending 2x2 matrix; a CZ first applies the pending
     matrix of each wire it touches unless that matrix is diagonal (and so
     commutes with the CZ), and the matrices still pending are applied at
-    the end.  Diagonal matrices and CZs are applied in place.  The result
-    is wrapped in a ``PureState`` once: one final copy and the run's only
-    normalization check.  Amplitudes agree with the gate-by-gate fold of
+    the end.  Every gate is applied in place.  The result is wrapped in a
+    ``PureState`` once: one final copy and the run's only normalization
+    check.  Amplitudes agree with the gate-by-gate fold of
     ``apply_gate`` to rounding (the tests hold them to 1e-12).
     """
     vec = _basis_vector(s_in)
@@ -282,17 +293,14 @@ def run_program(program: Program, s_in: str) -> PureState:
     for gate in program.gates:
         if isinstance(gate, RotationGate):
             q = gate.target
-            pending[q] = gate.matrix() @ pending[q] if q in pending else gate.matrix()
+            pending[q] = np.dot(gate.matrix(), pending[q]) if q in pending else gate.matrix()
         else:
             for q in (gate.control, gate.target):
                 if q in pending and not _is_diagonal(pending[q]):
-                    vec = apply_single_qubit(vec, n, q, pending.pop(q))
+                    _apply_in_place(vec, n, q, pending.pop(q))
             _flip_cz_quarter(vec, n, gate.control, gate.target)
     for q, matrix in pending.items():
-        if _is_diagonal(matrix):
-            _apply_diagonal(vec, n, q, matrix)
-        else:
-            vec = apply_single_qubit(vec, n, q, matrix)
+        _apply_in_place(vec, n, q, matrix)
     return PureState(n, vec)
 
 

@@ -158,7 +158,7 @@ class TestRunProgram:
         state = run_program(program, s_in)
         assert np.max(np.abs(state.amplitudes - expected.amplitudes)) <= 1e-12
 
-    def test_peak_memory_is_three_state_vectors(self):
+    def test_peak_memory_is_two_state_vectors(self):
         n = 16
         program = random_program(np.random.default_rng(46), n, 120)
         run_program(program, "0" * n)
@@ -168,8 +168,11 @@ class TestRunProgram:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # three vectors: the buffer and the two that apply_single_qubit allocates
-        assert peak <= 3 * (1 << n) * 16 + (1 << 18)
+        # two vectors: the buffer beside its half-size temporaries, then
+        # beside the final PureState copy.  The slack covers numpy's
+        # iteration buffers on strided halves (up to 256 KiB whatever n is)
+        # and stays below the half vector one more temporary would add.
+        assert peak <= 2 * (1 << n) * 16 + (1 << 19)
 
     def test_agrees_with_dense_unitary(self):
         rng = np.random.default_rng(42)
