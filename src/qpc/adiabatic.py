@@ -12,12 +12,14 @@ routines therefore work in that 2x2 block; ``evolve_dense`` walks the full
 Time evolution uses the midpoint rule: per step the propagator is the exact
 exponential ``exp(-i H(lam_mid) dt)``.  Two schedule shapes are supported:
 ``"linear"`` (lam proportional to t) and ``"local"`` (d lam / dt
-proportional to gap(lam)**2, i.e. the walk slows where the gap closes).
+proportional to gap(lam)**2, i.e. the walk slows where the gap closes),
+both in closed form.  ``default_steps`` is the one rule for the number of
+midpoint steps of a run of length T, shared by ``runtime_to_target`` and
+``qpc grover``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -66,6 +68,8 @@ class Schedule:
             raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.total_time) and self.total_time > 0.0):
             raise ValueError(f"total_time must be positive, got {self.total_time}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 10:
             raise ValueError(f"steps = {self.steps} is below the minimum of 10")
 
@@ -165,33 +169,22 @@ def hamiltonian(
     return h
 
 
-@functools.lru_cache(maxsize=32)
-def _local_profile_table(n: int, grid_points: int = 20001) -> tuple[np.ndarray, np.ndarray]:
-    """(lam grid, normalized arrival times) for the gap**2-paced schedule.
-
-    Arrival time is the cumulative trapezoid of 1/gap**2, scaled to [0, 1];
-    interpolating its inverse gives lam(t).
-    """
-    inst = GroverInstance("0" * n)
-    xs = np.linspace(0.0, 1.0, grid_points)
-    w = 1.0 / np.asarray(gap(inst, xs)) ** 2
-    tau = np.concatenate([[0.0], np.cumsum((w[1:] + w[:-1]) * 0.5 * np.diff(xs))])
-    tau /= tau[-1]
-    xs.setflags(write=False)
-    tau.setflags(write=False)
-    return xs, tau
-
-
 def schedule_lambdas(
     instance: GroverInstance, schedule: Schedule, times: np.ndarray
 ) -> np.ndarray:
-    """lam at the given times for this schedule shape."""
+    """lam at the given times for this schedule shape.
+
+    The local schedule is the closed-form solution of d lam / dt proportional
+    to gap(lam)**2 (Roland & Cerf, PRA 65, 042308 (2002)): with
+    r = sqrt(N - 1) and f = t / T,
+    ``lam(f) = 1/2 + tan((2f - 1) atan(r)) / (2r)``.
+    """
     frac = np.asarray(times, dtype=float) / schedule.total_time
     frac = np.clip(frac, 0.0, 1.0)
     if schedule.kind == "linear":
         return frac
-    xs, tau = _local_profile_table(instance.n)
-    return np.interp(frac, tau, xs)
+    r = math.sqrt(instance.size - 1)
+    return np.clip(0.5 + np.tan((2.0 * frac - 1.0) * math.atan(r)) / (2.0 * r), 0.0, 1.0)
 
 
 def _midpoint_propagators(h: np.ndarray, dt: float) -> np.ndarray:
@@ -278,6 +271,13 @@ def evolve_dense(
     )
 
 
+def default_steps(total_time: float) -> int:
+    """Midpoint steps for a run of length ``total_time``: one per 0.05 time
+    units, clipped to [200, 500000].  An infinite time clips to the cap
+    (``Schedule`` then rejects it) instead of raising OverflowError."""
+    return int(np.clip(np.ceil(total_time / 0.05), 200, 500_000))
+
+
 def runtime_to_target(
     instance: GroverInstance,
     kind: str,
@@ -285,14 +285,16 @@ def runtime_to_target(
     *,
     rel_tol: float = 1e-2,
     time_cap: float = 1e6,
-    dt: float = 0.05,
-    min_steps: int = 200,
-    max_steps: int = 500_000,
 ) -> float:
-    """Smallest total time reaching ``target`` overlap, up to ``rel_tol``.
+    """A total time T whose run reaches ``target`` overlap, located to
+    ``rel_tol``.
 
-    Doubles T from 1 until the target is crossed, then bisects down to the
-    crossing.  Raises RuntimeError if ``time_cap`` is hit first.
+    Each probe runs ``evolve`` with ``default_steps(T)`` steps.  T doubles
+    from 1 until a probe reaches the target, then bisection keeps a probe
+    that reaches it (returned) within ``rel_tol`` of one that does not.
+    The overlap is not monotone in T, so this is a crossing, not
+    necessarily the smallest T that reaches the target.  Raises
+    RuntimeError if ``time_cap`` is hit first.
     """
     if kind not in SCHEDULE_KINDS:
         raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
@@ -302,8 +304,8 @@ def runtime_to_target(
         )
 
     def overlap_at(total_time: float) -> float:
-        steps = int(np.clip(math.ceil(total_time / dt), min_steps, max_steps))
-        return evolve(instance, Schedule(kind, total_time, steps)).final_overlap
+        schedule = Schedule(kind, total_time, default_steps(total_time))
+        return evolve(instance, schedule).final_overlap
 
     lo = 0.0
     hi = 1.0

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -99,9 +98,7 @@ def _cmd_grover(args: argparse.Namespace) -> int:
             f"--marked {args.marked!r} does not have the declared length {args.n}"
         )
     instance = adiabatic.GroverInstance(args.marked)
-    steps = args.steps
-    if steps is None:
-        steps = int(np.clip(math.ceil(args.time / 0.05), 200, 500_000))
+    steps = args.steps if args.steps is not None else adiabatic.default_steps(args.time)
     report = adiabatic.evolve(instance, adiabatic.Schedule(args.schedule, args.time, steps))
     payload = {
         "overlap": report.final_overlap,

@@ -11,7 +11,9 @@ pair pulses moves a payload one full period per round without ever
 addressing a single cell.
 
 The state convention matches the rest of the package: cell i is qubit i,
-most significant bit first.
+most significant bit first.  Basis states, the unitary check of pulse
+matrices and the measure-and-flip reset come from ``statevec`` and
+``program_ir``; this module adds only what is specific to species.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ from .program_ir import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    checked_unitary,
     parse_gate_fields,
 )
 from .statevec import (
     PureState,
     apply_single_qubit,
     apply_two_qubit,
-    measure_qubit,
+    init_from_bitstring,
+    measure_and_flip,
 )
 
 SPECIES_ALPHABET = "ABC"
@@ -52,16 +56,6 @@ SWAP_MATRIX = np.array(
 )
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-
-
-def _check_unitary(mat: np.ndarray, dim: int, label: str) -> np.ndarray:
-    arr = np.array(mat, dtype=complex)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"{label} must be {dim}x{dim}, got {arr.shape}")
-    if np.max(np.abs(arr.conj().T @ arr - np.eye(dim))) > 1e-10:
-        raise ValueError(f"{label} is not unitary")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +101,7 @@ class CellChain:
 
 def chain_from_bits(pattern: str, bits: str, boundary: str = "open") -> CellChain:
     """Chain in a computational basis state, one character per cell."""
-    if not bits or any(ch not in "01" for ch in bits):
-        raise ValueError(f"cell contents {bits!r} must be a bitstring")
-    amps = np.zeros(1 << len(bits), dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return CellChain(pattern, PureState(len(bits), amps), boundary)
+    return CellChain(pattern, init_from_bitstring(bits), boundary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +114,7 @@ class SpeciesPulse:
     def __post_init__(self) -> None:
         if self.species not in SPECIES_ALPHABET:
             raise ValueError(f"unknown species {self.species!r}")
-        object.__setattr__(
-            self, "matrix", _check_unitary(self.matrix, 2, "species pulse")
-        )
+        object.__setattr__(self, "matrix", checked_unitary(self.matrix, 2, "species pulse"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,9 +131,7 @@ class PairPulse:
                 raise ValueError(f"unknown species {s!r}")
         if self.first == self.second:
             raise ValueError("pair pulse needs two distinct species")
-        object.__setattr__(
-            self, "matrix", _check_unitary(self.matrix, 4, "pair pulse")
-        )
+        object.__setattr__(self, "matrix", checked_unitary(self.matrix, 4, "pair pulse"))
 
 
 GlobalPulse = Union[SpeciesPulse, PairPulse]
@@ -246,13 +232,8 @@ def bulk_measure(chain: CellChain, species: str, seed: int = 0) -> BulkResult:
 def _cool_species_rng(
     chain: CellChain, species: str, rng: np.random.Generator
 ) -> CellChain:
-    vec = np.array(chain.state.amplitudes)
-    n = chain.length
-    for c in chain.cells_of(species):
-        vec, outcome, _ = measure_qubit(vec, n, c, rng=rng)
-        if outcome == 1:
-            vec = apply_single_qubit(vec, n, c, PAULI_X)
-    return CellChain(chain.pattern, PureState(n, vec), chain.boundary)
+    state = measure_and_flip(chain.state, chain.cells_of(species), rng)
+    return CellChain(chain.pattern, state, chain.boundary)
 
 
 def cool_species(chain: CellChain, species: str, seed: int = 0) -> CellChain:

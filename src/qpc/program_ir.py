@@ -163,15 +163,22 @@ class UnitaryDescriptor:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = 1 << self.n
-        mat = np.array(self.entries, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix for n = {self.n}")
-        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-        if dev > 1e-10:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
-        mat.setflags(write=False)
+        mat = checked_unitary(self.entries, 1 << self.n, f"matrix for n = {self.n}")
         object.__setattr__(self, "entries", mat)
+
+
+def checked_unitary(matrix: np.ndarray, dim: int, label: str) -> np.ndarray:
+    """Read-only complex copy of ``matrix``; ValueError unless it is a
+    ``dim`` x ``dim`` unitary to 1e-10 (NaN and inf entries fail)."""
+    mat = np.array(matrix, dtype=complex)
+    if mat.shape != (dim, dim):
+        raise ValueError(f"{label} must be {dim}x{dim}, got shape {mat.shape}")
+    dev = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+    # written so that a NaN deviation fails the check
+    if not dev <= 1e-10:
+        raise ValueError(f"{label} is not unitary (deviation {dev:.3e})")
+    mat.setflags(write=False)
+    return mat
 
 
 def program_size(program: Program) -> int:

@@ -372,8 +372,15 @@ def cool(state: PureState, qubits: Sequence[int], seed: int = 0) -> PureState:
         raise ValueError(f"duplicate qubit in {tuple(qubits)}")
     if max(qubits) >= state.n or min(qubits) < 0:
         raise ValueError(f"cool qubits {tuple(qubits)} outside register of {state.n}")
-    rng = np.random.default_rng(seed)
-    vec = np.array(state.amplitudes)
+    return measure_and_flip(state, qubits, np.random.default_rng(seed))
+
+
+def measure_and_flip(
+    state: PureState, qubits: Sequence[int], rng: np.random.Generator
+) -> PureState:
+    """Measure each listed qubit in turn, outcomes drawn from ``rng``, and
+    flip it when the outcome is 1; the qubits are not validated."""
+    vec = state.amplitudes
     for q in qubits:
         vec, outcome, _ = measure_qubit(vec, state.n, q, rng=rng)
         if outcome == 1:

@@ -1,7 +1,10 @@
 """Tests for the interpolated-search evolution engine."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
 from qpc import (
@@ -16,6 +19,7 @@ from qpc import (
     runtime_to_target,
     schedule_lambdas,
 )
+from qpc.adiabatic import default_steps
 
 
 class TestInstanceAndSchedule:
@@ -41,6 +45,19 @@ class TestInstanceAndSchedule:
             Schedule("linear", 1.0, 5)
         with pytest.raises(ValueError):
             Schedule("cubic", 1.0, 100)
+
+    def test_steps_must_be_an_integer(self):
+        for steps in (10.5, 100.0, True):
+            with pytest.raises(ValueError):
+                Schedule("linear", 1.0, steps)
+        assert Schedule("linear", 1.0, np.int64(100)).steps == 100
+
+    def test_default_steps(self):
+        assert default_steps(1.0) == 200
+        assert default_steps(12.34) == 247
+        assert default_steps(240.0) == 4800
+        assert default_steps(1e9) == 500_000
+        assert default_steps(math.inf) == 500_000
 
 
 class TestHamiltonian:
@@ -177,6 +194,18 @@ class TestEvolve:
         report = evolve(inst, schedule)
         assert report.final_overlap == pytest.approx(overlap, abs=1e-10)
 
+    def test_local_schedule_matches_quadrature(self):
+        # lam(f) inverts the arrival time f(lam) = int_0^lam dx / gap(x)**2,
+        # normalized; here the integral is a trapezoid sum on a fine grid.
+        xs = np.linspace(0.0, 1.0, 200_001)
+        frac = np.linspace(0.0, 1.0, 2001)
+        for n in range(2, 15):
+            inst = GroverInstance("0" * n)
+            tau = cumulative_trapezoid(1.0 / gap(inst, xs) ** 2, xs, initial=0.0)
+            expected = np.interp(frac, tau / tau[-1], xs)
+            lams = schedule_lambdas(inst, Schedule("local", 1.0, 10), frac)
+            assert np.max(np.abs(lams - expected)) <= 1e-8
+
     def test_local_schedule_steps_scale_with_squared_gap(self):
         inst = GroverInstance("00000")
         schedule = Schedule("local", 40.0, 4000)
@@ -204,8 +233,7 @@ class TestRuntimeScaling:
     def test_found_runtime_reaches_target(self):
         inst = GroverInstance("0110")
         t_star = runtime_to_target(inst, "local", 0.9)
-        steps = max(200, int(np.ceil(t_star / 0.05)))
-        report = evolve(inst, Schedule("local", t_star, steps))
+        report = evolve(inst, Schedule("local", t_star, default_steps(t_star)))
         assert report.final_overlap >= 0.9
 
     def test_exact_target_rejected(self):

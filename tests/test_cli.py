@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from qpc import pattern_from_json, simulate_pattern, total_variation_distance
+from qpc import (
+    GroverInstance,
+    Schedule,
+    evolve,
+    pattern_from_json,
+    simulate_pattern,
+    total_variation_distance,
+)
+from qpc.adiabatic import default_steps
 from qpc.cli import run_cli
 
 BELL_TYPE = "R 0 0 32 0 8\nR 1 0 32 0 8\nCZ 0 1\n"
@@ -95,6 +103,25 @@ class TestGrover:
         assert payload["overlap"] > 0.9
         assert payload["min_gap"] == pytest.approx(2 ** -1.5, abs=1e-4)
         assert payload["T"] == 40
+
+    def test_default_steps_follow_the_shared_rule(self, capsys):
+        code = run_cli(
+            ["grover", "--n", "3", "--marked", "101", "--schedule", "local",
+             "--time", "12.34", "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        schedule = Schedule("local", 12.34, default_steps(12.34))
+        assert payload["overlap"] == evolve(GroverInstance("101"), schedule).final_overlap
+
+    @pytest.mark.parametrize("time", ["inf", "nan", "0"])
+    def test_bad_time_is_a_domain_error(self, time, capsys):
+        code = run_cli(
+            ["grover", "--n", "3", "--marked", "101", "--schedule", "local",
+             "--time", time]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_marked_length_mismatch(self, capsys):
         code = run_cli(

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpc import (
     CellChain,
     HADAMARD,
     PairPulse,
     PureState,
+    RotationGate,
     SpeciesPulse,
     SWAP_MATRIX,
     apply_pulse,
@@ -19,7 +22,7 @@ from qpc import (
     transport_demo,
 )
 from qpc.global_control import adjacent_pairs
-from qpc.program_ir import CZ_MATRIX, PAULI_X, ParseError
+from qpc.program_ir import CZ_MATRIX, PAULI_X, PAULI_Y, PAULI_Z, ParseError
 from qpc.statevec import apply_cz
 
 
@@ -35,6 +38,29 @@ def dense_pairwise(chain, pairs, matrix):
             )
             vec = np.moveaxis(work, (0, 1), (a, b))
     return vec.reshape(-1)
+
+
+@st.composite
+def covariance_cases(draw):
+    """A random state on a periodic ABC/AB chain of up to 9 cells, one
+    species or pair pulse (named or R gate) and a period-multiple offset."""
+    pattern = draw(st.sampled_from(["ABC", "AB"]))
+    period = len(pattern)
+    length = period * draw(st.integers(1, 9 // period))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=1 << length) + 1j * rng.normal(size=1 << length)
+    chain = CellChain(pattern, PureState(length, raw / np.linalg.norm(raw)), "periodic")
+    first = draw(st.sampled_from(pattern))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 8))
+        k = tuple(draw(st.integers(0, (1 << m) - 1)) for _ in range(3))
+        gates = [PAULI_X, PAULI_Y, PAULI_Z, HADAMARD, RotationGate(0, k, m).matrix()]
+        pulse = SpeciesPulse(first, draw(st.sampled_from(gates)))
+    else:
+        second = draw(st.sampled_from([s for s in pattern if s != first]))
+        pulse = PairPulse(first, second, draw(st.sampled_from([CZ_MATRIX, SWAP_MATRIX])))
+    offset = period * draw(st.integers(-(length // period), length // period))
+    return chain, pulse, offset
 
 
 class TestCellChain:
@@ -63,6 +89,15 @@ class TestCellChain:
     def test_unknown_boundary(self):
         with pytest.raises(ValueError):
             chain_from_bits("AB", "0000", boundary="twisted")
+
+    def test_oversized_chain_rejected_before_allocation(self):
+        with pytest.raises(ValueError, match="outside"):
+            chain_from_bits("AB", "0" * 30)
+
+    def test_non_bitstring_rejected(self):
+        for bits in ("", "0102", "01 0"):
+            with pytest.raises(ValueError):
+                chain_from_bits("AB", bits)
 
 
 class TestPulses:
@@ -110,6 +145,20 @@ class TestPulses:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             SpeciesPulse("A", np.ones((2, 2), dtype=complex))
+        with pytest.raises(ValueError):
+            PairPulse("A", "B", np.ones((4, 4), dtype=complex))
+        with pytest.raises(ValueError):
+            PairPulse("A", "B", PAULI_X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_species_pulse_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SpeciesPulse("A", [[bad, 0], [0, 1]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pair_pulse_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PairPulse("A", "B", np.diag([bad, 1, 1, 1]))
 
     def test_adjacent_pairs_open_vs_periodic(self):
         open_chain = chain_from_bits("ABC", "000000")
@@ -211,6 +260,16 @@ class TestTranslation:
         np.testing.assert_allclose(
             conjugated.state.amplitudes, direct.state.amplitudes, atol=1e-10
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=covariance_cases())
+    def test_pulses_commute_with_translation(self, case):
+        chain, pulse, offset = case
+        shifted_first = apply_pulse(translate(chain, offset), pulse)
+        pulsed_first = translate(apply_pulse(chain, pulse), offset)
+        assert np.max(
+            np.abs(shifted_first.state.amplitudes - pulsed_first.state.amplitudes)
+        ) <= 1e-12
 
     def test_open_chain_rejects_translation(self):
         chain = chain_from_bits("ABC", "000000")

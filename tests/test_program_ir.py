@@ -13,6 +13,7 @@ from qpc import (
     PAULI_Z,
     Program,
     RotationGate,
+    UnitaryDescriptor,
     parse_program,
     program_fidelity,
     program_size,
@@ -228,6 +229,26 @@ class TestProgramUnitary:
     def test_width_guard(self):
         with pytest.raises(ValueError):
             program_unitary(parse_program("CZ 0 13"))
+
+
+class TestUnitaryDescriptor:
+    def test_shape_and_unitarity_checked(self):
+        with pytest.raises(ValueError):
+            UnitaryDescriptor(1, np.eye(4))
+        with pytest.raises(ValueError):
+            UnitaryDescriptor(1, [[1, 1], [0, 1]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError):
+            UnitaryDescriptor(1, [[bad, 0], [0, 1]])
+
+    def test_entries_are_a_read_only_copy(self):
+        source = np.eye(2, dtype=complex)
+        u = UnitaryDescriptor(1, source)
+        source[0, 0] = 5.0
+        assert u.entries[0, 0] == 1.0
+        assert not u.entries.flags.writeable
 
 
 class TestFidelity:
