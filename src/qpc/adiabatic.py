@@ -55,6 +55,11 @@ class GroverInstance:
         return 1 << self.n
 
 
+def _check_total_time(total_time: float) -> None:
+    if not (math.isfinite(total_time) and total_time > 0.0):
+        raise ValueError(f"total_time must be positive, got {total_time}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Annealing schedule: shape, total time, number of midpoint steps."""
@@ -66,8 +71,7 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.total_time) and self.total_time > 0.0):
-            raise ValueError(f"total_time must be positive, got {self.total_time}")
+        _check_total_time(self.total_time)
         if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 10:
@@ -273,8 +277,9 @@ def evolve_dense(
 
 def default_steps(total_time: float) -> int:
     """Midpoint steps for a run of length ``total_time``: one per 0.05 time
-    units, clipped to [200, 500000].  An infinite time clips to the cap
-    (``Schedule`` then rejects it) instead of raising OverflowError."""
+    units, clipped to [200, 500000].  A time that is not finite and
+    positive raises ``Schedule``'s ValueError."""
+    _check_total_time(total_time)
     return int(np.clip(np.ceil(total_time / 0.05), 200, 500_000))
 
 

@@ -50,8 +50,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.json:
             print(dist.to_json())
         else:
-            for key in sorted(dist.entries):
-                print(f"{key} {dist.entries[key]:.12g}")
+            for key, p in dist.entries.items():
+                print(f"{key} {p:.12g}")
         return 0
     counts = statevec.sample(dist, args.shots, args.seed)
     if args.json:

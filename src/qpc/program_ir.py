@@ -173,6 +173,9 @@ def checked_unitary(matrix: np.ndarray, dim: int, label: str) -> np.ndarray:
     mat = np.array(matrix, dtype=complex)
     if mat.shape != (dim, dim):
         raise ValueError(f"{label} must be {dim}x{dim}, got shape {mat.shape}")
+    # checked before the product, which warns on inf entries
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{label} has non-finite entries")
     dev = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
     # written so that a NaN deviation fails the check
     if not dev <= 1e-10:

@@ -22,11 +22,16 @@ matrix is applied only when a CZ touches its wire and it is not diagonal
 Every gate acts in place on the buffer: a diagonal matrix scales its two
 halves, any other matrix combines them through one half-size copy, and a
 CZ negates a quarter.  No more than two state vectors are alive at once.
+
+A ``Distribution`` holds its probabilities as one float array in outcome
+order.  Outcome key strings are built only when text is asked for
+(``entries``, ``to_json``, ``sample``), once per distribution;
+``sample``, ``total_variation_distance`` and ``==`` read the array.
 """
 
 from __future__ import annotations
 
-import json
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -146,16 +151,22 @@ class ReadoutSpec:
             raise ValueError("negative qubit index in readout")
 
 
-@dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability map over fixed-width bitstrings; sums to 1 within 1e-10."""
+    """Probability map over fixed-width bitstrings; sums to 1 within 1e-10.
 
-    entries: Mapping[str, float]
+    Backed by one read-only float array in sorted outcome order: all 2**width
+    outcomes (``from_probabilities``, zeros included) or the keys a dict
+    named, so ``{"0": 1.0}`` differs from ``{"0": 1.0, "1": 0.0}``.  Key
+    strings are built on first use and kept; ``entries`` is a fresh dict on
+    every access.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("_width", "_probs", "_keys")
+
+    def __init__(self, entries: Mapping[str, float]) -> None:
         cleaned: dict[str, float] = {}
         width = None
-        for key, p in self.entries.items():
+        for key, p in entries.items():
             if width is None:
                 width = len(key)
             # ``key.strip("01")`` is empty exactly when every character is a
@@ -168,39 +179,103 @@ class Distribution:
             cleaned[key] = max(float(p), 0.0)
         if not width:
             raise ValueError("empty distribution or zero-width outcome keys")
-        total = sum(cleaned.values())
+        keys = sorted(cleaned)
+        self._fill(width, np.array([cleaned[k] for k in keys], dtype=float), keys)
+
+    def _fill(self, width: int, probs: np.ndarray, keys: Optional[list[str]]) -> None:
+        total = float(probs.sum())
         if not abs(total - 1.0) <= _NORM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "entries", cleaned)
-
-    @property
-    def width(self) -> int:
-        return len(next(iter(self.entries)))
-
-    def __getitem__(self, key: str) -> float:
-        return self.entries.get(key, 0.0)
+        probs.setflags(write=False)
+        self._width, self._probs, self._keys = width, probs, keys
 
     @classmethod
     def from_probabilities(cls, probs: np.ndarray) -> "Distribution":
         """Distribution of a 2**m probability vector; index i is outcome i
-        written as an m-bit string."""
-        m = len(probs).bit_length() - 1
-        return cls({format(i, f"0{m}b"): float(p) for i, p in enumerate(probs)})
+        written as an m-bit string.  Every outcome is kept, zeros included."""
+        probs = np.array(probs, dtype=float)  # a private copy, clamped in place
+        m = probs.size.bit_length() - 1
+        if probs.ndim != 1 or m < 1 or probs.size != 1 << m:
+            raise ValueError(f"probabilities of shape {probs.shape}: need 2**m of them, m >= 1")
+        low = probs.min()
+        # written so that NaN fails too
+        if not low >= -1e-12:
+            i = int(np.argmin(probs >= -1e-12))
+            raise ValueError(f"probability {probs[i]} for outcome {i} is negative or not a number")
+        if low < 0.0:
+            probs[probs < 0.0] = 0.0
+        dist = cls.__new__(cls)
+        dist._fill(m, probs, None)
+        return dist
+
+    @property
+    def width(self) -> int:
+        return self._width
+
+    def _dense(self) -> bool:
+        return len(self._probs) == 1 << self._width
+
+    def _outcome_keys(self) -> list[str]:
+        """Outcome strings in array order, built once."""
+        if self._keys is None:
+            self._keys = _bit_strings(self._width)
+        return self._keys
+
+    @property
+    def entries(self) -> dict[str, float]:
+        return dict(zip(self._outcome_keys(), self._probs.tolist()))
+
+    def __getitem__(self, key: str) -> float:
+        if not (isinstance(key, str) and len(key) == self._width and not key.strip("01")):
+            return 0.0
+        if self._dense():
+            return float(self._probs[int(key, 2)])
+        keys = self._keys
+        i = bisect.bisect_left(keys, key)
+        return float(self._probs[i]) if i < len(keys) and keys[i] == key else 0.0
 
     def to_json(self) -> str:
-        """Canonical form: keys sorted, compact separators."""
-        return json.dumps(dict(self.entries), sort_keys=True)
+        """Canonical form: keys sorted, compact separators; byte for byte
+        ``json.dumps(dict(entries), sort_keys=True)``."""
+        keys = self._outcome_keys()
+        # in chunks of 4096 outcomes, so the per-entry strings of only one
+        # chunk are alive at a time
+        parts = []
+        for lo in range(0, len(keys), 4096):
+            values = map(float.__repr__, self._probs[lo:lo + 4096].tolist())
+            chunk = zip(keys[lo:lo + 4096], values)
+            parts.append(", ".join(['"' + k + '": ' + v for k, v in chunk]))
+        return "{" + ", ".join(parts) + "}"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
-        return dict(self.entries) == dict(other.entries)
+        if self._width != other._width or len(self._probs) != len(other._probs):
+            return False
+        if not self._dense() and self._keys != other._keys:
+            return False
+        return bool(np.array_equal(self._probs, other._probs))
+
+    def __repr__(self) -> str:
+        return f"Distribution({self.entries!r})"
+
+
+def _bit_strings(width: int) -> list[str]:
+    """All ``width``-bit strings in index order, by doubling concatenation."""
+    if width == 1:
+        return ["0", "1"]
+    high, low = _bit_strings(width - width // 2), _bit_strings(width // 2)
+    return [a + b for a in high for b in low]
 
 
 def total_variation_distance(a: Distribution, b: Distribution) -> float:
-    """0.5 * sum |p - q| over the union of outcomes."""
-    keys = set(a.entries) | set(b.entries)
-    return 0.5 * sum(abs(a[k] - b[k]) for k in keys)
+    """0.5 * sum |p - q| over the union of outcomes.  The sum is exactly
+    rounded (``math.fsum``), so the value does not depend on the order of
+    the terms, nor on whether both sides are dense arrays of one width."""
+    if a.width == b.width and a._dense() and b._dense():
+        return 0.5 * math.fsum(np.abs(a._probs - b._probs).tolist())
+    pa, pb = a.entries, b.entries
+    return 0.5 * math.fsum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in pa.keys() | pb.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +426,10 @@ def sample(dist: Distribution, shots: int, seed: int) -> dict[str, int]:
     """Multinomial counts for ``shots`` draws; deterministic in ``seed``."""
     if shots < 1:
         raise ValueError(f"shots = {shots} must be positive")
-    keys = sorted(dist.entries)
-    probs = np.array([dist.entries[k] for k in keys], dtype=float)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return {k: int(c) for k, c in zip(keys, counts)}
+    probs = dist._probs
+    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    # array order is sorted key order
+    return dict(zip(dist._outcome_keys(), counts.tolist()))
 
 
 def cool(state: PureState, qubits: Sequence[int], seed: int = 0) -> PureState:

@@ -57,7 +57,11 @@ class TestInstanceAndSchedule:
         assert default_steps(12.34) == 247
         assert default_steps(240.0) == 4800
         assert default_steps(1e9) == 500_000
-        assert default_steps(math.inf) == 500_000
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_default_steps_rejects_bad_times(self, bad):
+        with pytest.raises(ValueError, match="total_time must be positive"):
+            default_steps(bad)
 
 
 class TestHamiltonian:

@@ -121,7 +121,7 @@ class TestGrover:
              "--time", time]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: total_time must be positive")
 
     def test_marked_length_mismatch(self, capsys):
         code = run_cli(

@@ -1,7 +1,11 @@
 """Tests for the gate-level program representation."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qpc import (
@@ -20,6 +24,7 @@ from qpc import (
     program_unitary,
     render_program,
 )
+from qpc.program_ir import checked_unitary
 from conftest import random_program
 
 
@@ -146,6 +151,31 @@ class TestParsing:
             parse_program("CZ 0 1\n" + line)
         assert info.value.line_no == 2
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_render_parse_round_trip(self, data):
+        gates = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            if data.draw(st.booleans()):
+                m = data.draw(st.integers(1, 20))
+                k = data.draw(st.tuples(*[st.integers(0, (1 << m) - 1)] * 3))
+                gates.append(RotationGate(data.draw(st.integers(0, 40)), k, m))
+            else:
+                a, b = data.draw(st.lists(st.integers(0, 40), min_size=2, max_size=2, unique=True))
+                gates.append(CZGate(a, b))
+        program = Program(tuple(gates))
+        text = render_program(program)
+        assert parse_program(text) == program
+        # comments, blank lines, lower case and extra blanks are not part of
+        # the program: the rendering of the parse is the canonical text again
+        noisy = "\n".join(
+            data.draw(st.sampled_from(["", "# c", "  "])) + "\n"
+            + line.lower().replace(" ", data.draw(st.sampled_from([" ", "  ", "\t"])))
+            + data.draw(st.sampled_from(["", " # tail", "  "]))
+            for line in text.splitlines()
+        )
+        assert render_program(parse_program(noisy)) == text
+
     def test_round_trip_structural_equality(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -242,6 +272,13 @@ class TestUnitaryDescriptor:
     def test_non_finite_entries_rejected(self, bad):
         with pytest.raises(ValueError):
             UnitaryDescriptor(1, [[bad, 0], [0, 1]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    def test_non_finite_check_warns_nothing(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                checked_unitary(np.array([[bad, 0], [0, 1]]), 2, "matrix")
 
     def test_entries_are_a_read_only_copy(self):
         source = np.eye(2, dtype=complex)

@@ -1,5 +1,7 @@
 """Tests for the exact statevector engine."""
 
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -62,6 +64,49 @@ def fusion_cases(draw):
     extra = draw(st.integers(0, 2))
     bits = draw(st.lists(st.sampled_from("01"), min_size=wires + extra, max_size=wires + extra))
     return program, "".join(bits)
+
+
+@st.composite
+def distributions(draw, width=None):
+    """A Distribution and the ``{key: p}`` dict it was built from.
+
+    Widths 1-12; dense ones come from ``from_probabilities`` and keep every
+    outcome, sparse ones from the dict constructor with a random subset of
+    keys.  Some probabilities are zero and some subnormal.
+    """
+    width = draw(st.integers(1, 12)) if width is None else width
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.random(1 << width) ** draw(st.sampled_from([1, 4]))
+    probs[rng.random(1 << width) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if draw(st.booleans()):
+        probs[rng.random(1 << width) < 0.1] = draw(st.sampled_from([5e-324, 2.2e-310]))
+    probs[int(rng.integers(1 << width))] = 0.5
+    probs /= probs.sum()
+    keys = [format(i, f"0{width}b") for i in range(1 << width)]
+    if draw(st.booleans()):
+        return Distribution.from_probabilities(probs), dict(zip(keys, probs.tolist()))
+    keep = rng.random(1 << width) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+    keep[np.argmax(probs)] = True
+    entries = {k: p for k, p, kept in zip(keys, probs.tolist(), keep) if kept}
+    total = sum(entries.values())
+    entries = {k: p / total for k, p in entries.items()}
+    # dict insertion order must not matter
+    order = rng.permutation(len(entries))
+    items = list(entries.items())
+    return Distribution({items[i][0]: items[i][1] for i in order}), entries
+
+
+def sorted_key_sample(entries, shots, seed):
+    """The sampling rule as a loop over sorted keys (the reference)."""
+    keys = sorted(entries)
+    probs = np.array([entries[k] for k in keys], dtype=float)
+    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    return {k: int(c) for k, c in zip(keys, counts)}
+
+
+def union_tvd(a, b):
+    """0.5 * sum |p - q| over the union of keys, exactly summed."""
+    return 0.5 * math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a.keys() | b.keys())
 
 
 class TestInit:
@@ -266,6 +311,81 @@ class TestDistributions:
     def test_non_numeric_probability_rejected(self):
         with pytest.raises((TypeError, ValueError)):
             Distribution({"0": "0.5", "1": 0.5})
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[np.nan, 1.0], [1.0, np.nan], [1.2, -0.2], [np.inf, 0.0], [1.0], [], [0.5, 0.25, 0.25],
+         [[0.5, 0.5]], [0.9, 0.0]],
+    )
+    def test_from_probabilities_rejects(self, probs):
+        with pytest.raises(ValueError):
+            Distribution.from_probabilities(np.array(probs, dtype=float))
+
+    def test_from_probabilities_clamps_round_off(self):
+        dist = Distribution.from_probabilities(np.array([1.0, -1e-13]))
+        assert dist.to_json() == '{"0": 1.0, "1": 0.0}'
+
+    def test_from_probabilities_owns_its_copy(self):
+        probs = np.array([0.5, 0.5])
+        dist = Distribution.from_probabilities(probs)
+        probs[0] = 7.0
+        assert dist["0"] == 0.5
+
+    @pytest.mark.parametrize("keep", [1.0, 0.4])
+    def test_json_across_chunks(self, keep):
+        rng = np.random.default_rng(21)
+        probs = rng.random(1 << 14) * (rng.random(1 << 14) < keep)
+        probs /= probs.sum()
+        entries = {format(i, "014b"): p for i, p in enumerate(probs.tolist()) if p or keep == 1.0}
+        dist = Distribution(entries)
+        assert dist.to_json() == json.dumps(entries, sort_keys=True)
+        if keep == 1.0:
+            assert Distribution.from_probabilities(probs).to_json() == dist.to_json()
+
+    def test_entries_is_a_fresh_sorted_dict(self):
+        dist = Distribution({"1": 0.25, "0": 0.75})
+        entries = dist.entries
+        assert list(entries) == ["0", "1"]
+        entries["0"] = 0.0
+        assert dist.entries == {"0": 0.75, "1": 0.25}
+
+    def test_sparse_and_dense_differ(self):
+        assert Distribution({"0": 1.0}) != Distribution.from_probabilities(np.array([1.0, 0.0]))
+        assert Distribution({"0": 1.0, "1": 0.0}) == Distribution.from_probabilities(
+            np.array([1.0, 0.0])
+        )
+        assert Distribution({"00": 1.0}) != Distribution({"0": 1.0})
+        assert Distribution({"01": 1.0}) != Distribution({"10": 1.0})
+
+    def test_lookup_of_absent_and_foreign_keys(self):
+        dense = Distribution.from_probabilities(np.array([0.25, 0.75]))
+        sparse = Distribution({"01": 0.5, "11": 0.5})
+        for key in ("", "2", "01", "0 ", 1):
+            assert dense[key] == 0.0
+        assert [sparse[k] for k in ("00", "01", "10", "11", "1", "111")] == [0, 0.5, 0, 0.5, 0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(distributions())
+    def test_matches_dict_semantics(self, case):
+        dist, entries = case
+        assert dist.width == len(next(iter(entries)))
+        assert dist.entries == entries
+        assert list(dist.entries) == sorted(entries)
+        assert dist.to_json() == json.dumps(entries, sort_keys=True)
+        assert dist.to_json() == json.dumps(dict(dist.entries), sort_keys=True)
+        assert all(dist[k] == p for k, p in entries.items())
+        assert Distribution(entries) == dist
+        for shots, seed in ((1, 0), (10_000, 17)):
+            assert sample(dist, shots, seed) == sorted_key_sample(entries, shots, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tvd_matches_union_formula(self, data):
+        a, pa = data.draw(distributions())
+        same_width = data.draw(st.booleans())
+        b, pb = data.draw(distributions(width=a.width if same_width else None))
+        assert total_variation_distance(a, b) == union_tvd(pa, pb)
+        assert total_variation_distance(a, a) == 0.0
 
     def test_tvd(self):
         a = Distribution({"0": 1.0, "1": 0.0})
