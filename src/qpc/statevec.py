@@ -26,7 +26,7 @@ CZ negates a quarter.  No more than two state vectors are alive at once.
 A ``Distribution`` holds its probabilities as one float array in outcome
 order.  Outcome key strings are built only when text is asked for
 (``entries``, ``to_json``, ``sample``), once per distribution;
-``sample``, ``total_variation_distance`` and ``==`` read the array.
+``sample`` and ``==`` read the array.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ class Distribution:
         return float(self._probs[i]) if i < len(keys) and keys[i] == key else 0.0
 
     def to_json(self) -> str:
-        """Canonical form: keys sorted, compact separators; byte for byte
+        """Canonical form: byte for byte
         ``json.dumps(dict(entries), sort_keys=True)``."""
         keys = self._outcome_keys()
         # in chunks of 4096 outcomes, so the per-entry strings of only one
@@ -269,11 +269,8 @@ def _bit_strings(width: int) -> list[str]:
 
 
 def total_variation_distance(a: Distribution, b: Distribution) -> float:
-    """0.5 * sum |p - q| over the union of outcomes.  The sum is exactly
-    rounded (``math.fsum``), so the value does not depend on the order of
-    the terms, nor on whether both sides are dense arrays of one width."""
-    if a.width == b.width and a._dense() and b._dense():
-        return 0.5 * math.fsum(np.abs(a._probs - b._probs).tolist())
+    """0.5 * sum |p - q| over the union of outcomes, exactly rounded
+    (``math.fsum``), so the value does not depend on the order of the terms."""
     pa, pb = a.entries, b.entries
     return 0.5 * math.fsum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in pa.keys() | pb.keys())
 
