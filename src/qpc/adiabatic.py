@@ -10,12 +10,14 @@ routines therefore work in that 2x2 block; ``evolve_dense`` walks the full
 2**n-dimensional space and exists to cross-check the reduction.
 
 Time evolution uses the midpoint rule: per step the propagator is the exact
-exponential ``exp(-i H(lam_mid) dt)``.  Two schedule shapes are supported:
-``"linear"`` (lam proportional to t) and ``"local"`` (d lam / dt
-proportional to gap(lam)**2, i.e. the walk slows where the gap closes),
-both in closed form.  ``default_steps`` is the one rule for the number of
-midpoint steps of a run of length T, shared by ``runtime_to_target`` and
-``qpc grover``.
+exponential ``exp(-i H(lam_mid) dt)``; without its global phase, which
+changes neither overlap nor norm, it is a real unit quaternion, and
+``evolve`` multiplies the steps pairwise as four float64 rows.  Two
+schedule shapes are supported: ``"linear"`` (lam proportional to t) and
+``"local"`` (d lam / dt proportional to gap(lam)**2, i.e. the walk slows
+where the gap closes), both in closed form.  ``default_steps`` is the one
+rule for the number of midpoint steps of a run of length T, shared by
+``runtime_to_target`` and ``qpc grover``; ``MAX_STEPS`` caps a run's steps.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ MAX_DENSE_QUBITS = 12
 
 #: Largest search instance accepted (desk-scale bound).
 MAX_QUBITS = 14
+
+#: Most midpoint steps of one run; ``evolve`` peaks at 112 B per step (480 MiB).
+MAX_STEPS = 4_500_000
 
 SCHEDULE_KINDS = ("linear", "local")
 
@@ -74,8 +79,8 @@ class Schedule:
         _check_total_time(self.total_time)
         if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 10:
-            raise ValueError(f"steps = {self.steps} is below the minimum of 10")
+        if not 10 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps = {self.steps} outside [10, {MAX_STEPS}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,37 +99,34 @@ class EvolutionReport:
     def __post_init__(self) -> None:
         if not -1e-12 <= self.final_overlap <= 1.0 + 1e-9:
             raise ValueError(f"overlap {self.final_overlap} outside [0, 1]")
-        if self.min_gap_seen <= 0.0:
-            raise ValueError(f"non-positive gap {self.min_gap_seen}")
+        if not (self.min_gap_seen > 0.0 and math.isfinite(self.final_norm)):
+            raise ValueError(f"gap {self.min_gap_seen} not > 0 or norm {self.final_norm} not finite")
         trace = np.asarray(self.lambdas, dtype=float)
         trace.setflags(write=False)
         object.__setattr__(self, "lambdas", trace)
 
 
-def _block(n: int, lam: float | np.ndarray) -> np.ndarray:
-    """Restriction of H(lam) to span{|s>, |s_perp>} as a stack of 2x2 blocks."""
+def _block_terms(n: int, lam: float | np.ndarray):
+    """``(sz, q, omega)`` of H(lam) on span{|s>, |s_perp>} written as
+    ``s0 I + sz Z + q X``, with ``omega = sqrt(sz**2 + q**2)``."""
     c = 2.0 ** (-n / 2.0)
-    q = math.sqrt(1.0 - c * c)
+    c_perp = math.sqrt(1.0 - c * c)
     lam = np.asarray(lam, dtype=float)
-    h = np.empty(lam.shape + (2, 2), dtype=float)
-    h[..., 0, 0] = 1.0 - (1.0 - lam) * c * c - lam
-    h[..., 0, 1] = -(1.0 - lam) * c * q
-    h[..., 1, 0] = h[..., 0, 1]
-    h[..., 1, 1] = 1.0 - (1.0 - lam) * q * q
-    return h
+    rest = 1.0 - lam
+    sz = 0.5 * ((1.0 - rest * c * c - lam) - (1.0 - rest * c_perp * c_perp))
+    q = -rest * c * c_perp
+    return sz, q, np.sqrt(sz * sz + q * q)
 
 
 def gap(instance: GroverInstance, lam: float | np.ndarray) -> float | np.ndarray:
     """Instantaneous spectral gap E1 - E0 of H(lam).
 
-    The block eigenvalues are (1 -+ d)/2 with d the discriminant below; the
-    complement eigenvalue 1 never dips under the upper block level, so the
-    gap is the block splitting itself.
+    The block eigenvalues are s0 -+ omega; the complement eigenvalue 1 never
+    dips under the upper block level, so the gap is the block splitting
+    2 omega.
     """
-    h = _block(instance.n, lam)
-    diff = h[..., 0, 0] - h[..., 1, 1]
-    disc = np.sqrt(diff * diff + 4.0 * h[..., 0, 1] ** 2)
-    return disc if disc.ndim else float(disc)
+    gaps = 2.0 * _block_terms(instance.n, lam)[2]
+    return gaps if gaps.ndim else float(gaps)
 
 
 def min_gap(
@@ -191,52 +193,50 @@ def schedule_lambdas(
     return np.clip(0.5 + np.tan((2.0 * frac - 1.0) * math.atan(r)) / (2.0 * r), 0.0, 1.0)
 
 
-def _midpoint_propagators(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for a stack of real symmetric 2x2 matrices, closed form."""
-    p = h[..., 0, 0]
-    q = h[..., 0, 1]
-    r = h[..., 1, 1]
-    s0 = 0.5 * (p + r)
-    sz = 0.5 * (p - r)
-    omega = np.sqrt(sz * sz + q * q)
-    ang = omega * dt
-    cos = np.cos(ang)
-    # sin(x)/x is safe at 0 via the series limit
-    sinc = np.where(omega > 1e-300, np.sin(ang) / np.where(omega > 1e-300, omega, 1.0), dt)
-    u = np.empty(h.shape, dtype=complex)
-    u[..., 0, 0] = cos - 1j * sinc * sz
-    u[..., 0, 1] = -1j * sinc * q
-    u[..., 1, 0] = u[..., 0, 1]
-    u[..., 1, 1] = cos + 1j * sinc * sz
-    return np.exp(-1j * s0 * dt)[..., None, None] * u
+#: Row i holds the coefficient of p_j q_k, at column 4 j + k, in component i
+#: of the product p q of two SU(2) elements stored as ``(a, x, y, z)``.
+_HAMILTON = np.array([
+    [1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1],
+    [0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1, 0],
+    [0, 0, 1, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, 1, 0, 0, 0]], dtype=float)
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[-1] @ ... @ mats[0] by pairwise tree reduction."""
-    while mats.shape[0] > 1:
-        k = mats.shape[0]
+def _su2_product(rows: np.ndarray) -> np.ndarray:
+    """Product ``rows[:, -1] ... rows[:, 0]`` of the SU(2) elements ``a - i (x X
+    + y Y + z Z)`` stored as columns ``(a, x, y, z)``, by pairwise reduction."""
+    while rows.shape[1] > 1:
+        k = rows.shape[1]
         even = k - (k % 2)
-        paired = np.matmul(mats[1:even:2], mats[0:even:2])
-        mats = np.concatenate([paired, mats[even:]], axis=0) if k % 2 else paired
-    return mats[0]
+        paired = _HAMILTON @ (rows[:, None, 1:even:2] * rows[None, :, 0:even:2]).reshape(16, -1)
+        rows = np.concatenate([paired, rows[:, even:]], axis=1) if k % 2 else paired
+    return rows[:, 0]
 
 
 def evolve(instance: GroverInstance, schedule: Schedule) -> EvolutionReport:
-    """Anneal |psi0> through H(lam(t)) inside the invariant 2D plane."""
+    """Anneal |psi0> through H(lam(t)) inside the invariant 2D plane.
+
+    A step is ``exp(-i s0 dt) (cos(omega dt) - i sin(omega dt) (q X + sz Z) /
+    omega)`` with omega >= 2**(-n/2) / 2; its gap is ``2 omega``, bitwise."""
     k = schedule.steps
     dt = schedule.total_time / k
-    mids = (np.arange(k) + 0.5) * dt
-    lams = schedule_lambdas(instance, schedule, mids)
-    blocks = _block(instance.n, lams)
-    u = _ordered_product(_midpoint_propagators(blocks, dt))
+    lams = schedule_lambdas(instance, schedule, (np.arange(k) + 0.5) * dt)
+    sz, q, omega = _block_terms(instance.n, lams)
+    ang = omega * dt
+    sinc = np.sin(ang) / omega
+    rows = np.stack([np.cos(ang), sinc * q, np.zeros(k), sinc * sz])
+    min_gap_seen = 2.0 * float(np.min(omega))
+    # free the step inputs first, or they add 48 B per step to the product's peak
+    del lams, sz, q, omega, ang, sinc
+    a, x, y, z = _su2_product(rows)
+    u = np.array([[a - 1j * z, -y - 1j * x], [y - 1j * x, a + 1j * z]])
     c = 2.0 ** (-instance.n / 2.0)
-    psi = u @ np.array([c, math.sqrt(1.0 - c * c)], dtype=complex)
-    gaps = np.asarray(gap(instance, lams))
+    psi = u @ np.array([c, math.sqrt(1.0 - c * c)])
     edges = np.linspace(0.0, schedule.total_time, k + 1)
     return EvolutionReport(
         schedule=schedule,
         final_overlap=float(abs(psi[0]) ** 2),
-        min_gap_seen=float(np.min(gaps)),
+        min_gap_seen=min_gap_seen,
         final_norm=float(np.linalg.norm(psi)),
         lambdas=schedule_lambdas(instance, schedule, edges),
     )

@@ -1,9 +1,12 @@
 """Tests for the interpolated-search evolution engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
@@ -19,7 +22,37 @@ from qpc import (
     runtime_to_target,
     schedule_lambdas,
 )
-from qpc.adiabatic import default_steps
+from qpc import adiabatic
+from qpc.adiabatic import MAX_STEPS, default_steps
+
+#: Every ``runtime_to_target(GroverInstance("0" * n), kind)`` for n = 2..12.
+#: A change of the step rule or of the search changes this table on purpose;
+#: a change of how ``evolve`` multiplies the steps must leave it as it is.
+RUNTIMES = {
+    "linear": {2: 9.875, 3: 23.25, 4: 46.25, 5: 92.5, 6: 186.0, 7: 376.0,
+               8: 752.0, 9: 1504.0, 10: 3008.0, 11: 6016.0, 12: 12032.0},
+    "local": {2: 7.5625, 3: 10.4375, 4: 14.25, 5: 19.625, 6: 27.25, 7: 38.25,
+              8: 54.0, 9: 77.0, 10: 111.0, 11: 159.0, 12: 228.0},
+}
+
+
+def sequential_walk(n, schedule):
+    """Overlap and norm of the midpoint walk, one complex 2x2 exponential
+    at a time, each from an eigendecomposition of the block."""
+    c = 2.0 ** (-n / 2.0)
+    amps = np.array([c, math.sqrt(1.0 - c * c)])
+    dt = schedule.total_time / schedule.steps
+    lams = schedule_lambdas(
+        GroverInstance("0" * n), schedule, (np.arange(schedule.steps) + 0.5) * dt
+    )
+    blocks = (np.eye(2) - (1.0 - lams)[:, None, None] * np.outer(amps, amps)
+              - lams[:, None, None] * np.diag([1.0, 0.0]))
+    evals, vecs = np.linalg.eigh(blocks)
+    props = (vecs * np.exp(-1j * evals * dt)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    psi = amps.astype(complex)
+    for prop in props:
+        psi = prop @ psi
+    return abs(psi[0]) ** 2, float(np.linalg.norm(psi))
 
 
 class TestInstanceAndSchedule:
@@ -51,6 +84,12 @@ class TestInstanceAndSchedule:
             with pytest.raises(ValueError):
                 Schedule("linear", 1.0, steps)
         assert Schedule("linear", 1.0, np.int64(100)).steps == 100
+
+    def test_step_cap(self):
+        assert Schedule("linear", 1.0, MAX_STEPS).steps == MAX_STEPS
+        with pytest.raises(ValueError, match=f"outside \\[10, {MAX_STEPS}\\]"):
+            Schedule("linear", 1.0, MAX_STEPS + 1)
+        assert default_steps(1e9) <= MAX_STEPS
 
     def test_default_steps(self):
         assert default_steps(1.0) == 200
@@ -198,6 +237,39 @@ class TestEvolve:
         report = evolve(inst, schedule)
         assert report.final_overlap == pytest.approx(overlap, abs=1e-10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 14),
+        kind=st.sampled_from(["linear", "local"]),
+        steps=st.integers(10, 5000),
+        log_time=st.floats(-2.0, math.log10(5e4)),
+    )
+    def test_matches_sequential_walk(self, n, kind, steps, log_time):
+        inst = GroverInstance("0" * n)
+        schedule = Schedule(kind, 10.0 ** log_time, steps)
+        report = evolve(inst, schedule)
+        overlap, norm = sequential_walk(n, schedule)
+        assert abs(report.final_overlap - overlap) <= 1e-10
+        assert abs(report.final_norm - 1.0) <= 1e-10
+        assert abs(norm - 1.0) <= 1e-10
+        dt = schedule.total_time / steps
+        mids = schedule_lambdas(inst, schedule, (np.arange(steps) + 0.5) * dt)
+        assert abs(report.min_gap_seen - np.min(gap(inst, mids))) <= 1e-15
+
+    def test_peak_memory_per_step(self):
+        inst = GroverInstance("0" * 12)
+        schedule = Schedule("linear", 12032.0, 240_640)
+        tracemalloc.start()
+        try:
+            evolve(inst, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_step = peak / schedule.steps
+        assert per_step <= 128
+        # the step cap keeps the largest run near 512 MiB
+        assert per_step * MAX_STEPS <= 512 * 2**20
+
     def test_local_schedule_matches_quadrature(self):
         # lam(f) inverts the arrival time f(lam) = int_0^lam dx / gap(x)**2,
         # normalized; here the integral is a trapezoid sum on a fine grid.
@@ -240,6 +312,47 @@ class TestRuntimeScaling:
         report = evolve(inst, Schedule("local", t_star, default_steps(t_star)))
         assert report.final_overlap >= 0.9
 
+    @pytest.mark.parametrize(
+        "kind, n", [(kind, n) for kind in RUNTIMES for n in RUNTIMES[kind]]
+    )
+    def test_runtime_table(self, kind, n):
+        assert runtime_to_target(GroverInstance("0" * n), kind) == RUNTIMES[kind][n]
+
+    def test_every_probe_goes_through_evolve(self, monkeypatch):
+        # tracers swap ``qpc.adiabatic.evolve`` to count search steps, so
+        # the search must reach it by that name on every probe
+        probes = []
+        real_evolve = adiabatic.evolve
+
+        def traced(instance, schedule):
+            report = real_evolve(instance, schedule)
+            probes.append((schedule, report.final_overlap))
+            return report
+
+        monkeypatch.setattr(adiabatic, "evolve", traced)
+        t_star = runtime_to_target(GroverInstance("0" * 6), "linear")
+        # replay doubling then bisection on the recorded overlaps
+        replay = iter(probes)
+
+        def overlap_at(total_time):
+            schedule, overlap = next(replay)
+            assert schedule.total_time == total_time
+            assert schedule.steps == default_steps(total_time)
+            return overlap
+
+        lo, hi = 0.0, 1.0
+        while overlap_at(hi) < 0.9:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-2 * hi:
+            mid = 0.5 * (lo + hi)
+            if overlap_at(mid) >= 0.9:
+                hi = mid
+            else:
+                lo = mid
+        assert next(replay, None) is None
+        assert hi == t_star
+        assert len(probes) > 10
+
     def test_exact_target_rejected(self):
         with pytest.raises(ValueError):
             runtime_to_target(GroverInstance("00"), "local", 1.0)
@@ -269,3 +382,20 @@ class TestReport:
                 final_norm=1.0,
                 lambdas=np.linspace(0, 1, 11),
             )
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("min_gap_seen", math.nan), ("final_norm", math.nan),
+         ("final_norm", math.inf), ("final_norm", -math.inf)],
+    )
+    def test_nan_gap_and_non_finite_norm_rejected(self, field, bad):
+        fields = dict(
+            schedule=Schedule("linear", 1.0, 10),
+            final_overlap=0.5,
+            min_gap_seen=0.5,
+            final_norm=1.0,
+            lambdas=np.linspace(0, 1, 11),
+        )
+        fields[field] = bad
+        with pytest.raises(ValueError):
+            EvolutionReport(**fields)

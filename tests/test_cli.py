@@ -12,7 +12,7 @@ from qpc import (
     simulate_pattern,
     total_variation_distance,
 )
-from qpc.adiabatic import default_steps
+from qpc.adiabatic import MAX_STEPS, default_steps
 from qpc.cli import run_cli
 
 BELL_TYPE = "R 0 0 32 0 8\nR 1 0 32 0 8\nCZ 0 1\n"
@@ -113,6 +113,14 @@ class TestGrover:
         payload = json.loads(capsys.readouterr().out)
         schedule = Schedule("local", 12.34, default_steps(12.34))
         assert payload["overlap"] == evolve(GroverInstance("101"), schedule).final_overlap
+
+    def test_step_count_over_the_cap_is_a_domain_error(self, capsys):
+        code = run_cli(
+            ["grover", "--n", "3", "--marked", "101", "--schedule", "local",
+             "--time", "40", "--steps", str(MAX_STEPS + 1)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: steps = {MAX_STEPS + 1} outside")
 
     @pytest.mark.parametrize("time", ["inf", "nan", "0"])
     def test_bad_time_is_a_domain_error(self, time, capsys):
