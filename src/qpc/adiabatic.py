@@ -87,7 +87,7 @@ class Schedule:
 class EvolutionReport:
     """Outcome of one annealing run.
 
-    ``lambdas`` is the midpoint lam trace actually used, one per step.
+    ``lambdas`` is lam at the k + 1 step edges, from lam(0) to lam(T).
     """
 
     schedule: Schedule
@@ -106,7 +106,7 @@ class EvolutionReport:
         object.__setattr__(self, "lambdas", trace)
 
 
-def _block_terms(n: int, lam: float | np.ndarray):
+def _block_terms(n: int, lam: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(sz, q, omega)`` of H(lam) on span{|s>, |s_perp>} written as
     ``s0 I + sz Z + q X``, with ``omega = sqrt(sz**2 + q**2)``."""
     c = 2.0 ** (-n / 2.0)
