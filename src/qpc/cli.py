@@ -302,3 +302,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     raise SystemExit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -12,8 +12,9 @@ addressing a single cell.
 
 The state convention matches the rest of the package: cell i is qubit i,
 most significant bit first.  Basis states, the unitary check of pulse
-matrices and the measure-and-flip reset come from ``statevec`` and
-``program_ir``; this module adds only what is specific to species.
+matrices, the in-place kernel and the measure-and-flip reset come from
+``statevec`` and ``program_ir``; a pulse or a transport run acts on one
+private copy of the state.  This module adds only what is specific to species.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from .program_ir import (
     checked_unitary,
     parse_gate_fields,
 )
-from .statevec import (
-    PureState,
-    apply_single_qubit,
-    apply_two_qubit,
-    init_from_bitstring,
-    measure_and_flip,
-)
+from .statevec import PureState, _apply_in_place, init_from_bitstring, measure_and_flip
 
 SPECIES_ALPHABET = "ABC"
 BOUNDARIES = ("open", "periodic")
@@ -156,24 +151,27 @@ def adjacent_pairs(chain: CellChain, first: str, second: str) -> tuple[tuple[int
     return tuple(pairs)
 
 
-def apply_pulse(chain: CellChain, pulse: GlobalPulse) -> CellChain:
-    """Apply one global pulse; every matching cell (or pair) gets the op."""
-    vec = np.array(chain.state.amplitudes)
-    n = chain.length
+def _pulse_in_place(chain: CellChain, vec: np.ndarray, pulse: GlobalPulse) -> None:
+    """Apply one global pulse to ``vec``, the chain's amplitudes, in place."""
     if isinstance(pulse, SpeciesPulse):
-        cells = chain.cells_of(pulse.species)
-        for c in cells:
-            vec = apply_single_qubit(vec, n, c, pulse.matrix)
+        targets = [(c,) for c in chain.cells_of(pulse.species)]
     elif isinstance(pulse, PairPulse):
         if pulse.first not in chain.pattern or pulse.second not in chain.pattern:
             raise ValueError(
                 f"species pair ({pulse.first}, {pulse.second}) not in pattern {chain.pattern!r}"
             )
-        for i, j in adjacent_pairs(chain, pulse.first, pulse.second):
-            vec = apply_two_qubit(vec, n, i, j, pulse.matrix)
+        targets = adjacent_pairs(chain, pulse.first, pulse.second)
     else:
         raise ValueError(f"unknown pulse object {pulse!r}")
-    return CellChain(chain.pattern, PureState(n, vec), chain.boundary)
+    for qubits in targets:
+        _apply_in_place(vec, chain.length, qubits, pulse.matrix)
+
+
+def apply_pulse(chain: CellChain, pulse: GlobalPulse) -> CellChain:
+    """Apply one global pulse; every matching cell (or pair) gets the op."""
+    vec = np.array(chain.state.amplitudes)
+    _pulse_in_place(chain, vec, pulse)
+    return CellChain(chain.pattern, PureState(chain.length, vec), chain.boundary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +212,7 @@ def _bulk_measure_rng(
     w = int(rng.choice(k + 1, p=w_probs))
     mask = weights == w
     vec = np.where(mask, chain.state.amplitudes, 0.0)
-    vec = vec / np.linalg.norm(vec)
+    vec /= np.linalg.norm(vec)
     post = CellChain(chain.pattern, PureState(chain.length, vec), chain.boundary)
     return BulkResult(species=species, weight=w, chain=post)
 
@@ -287,20 +285,13 @@ def transport_demo(chain: CellChain, payload: np.ndarray, rounds: int) -> CellCh
         raise ValueError(
             f"payload would cross the open boundary: site {dest} > {chain.length - 1}"
         )
-    rest = np.zeros(1 << (chain.length - 1), dtype=complex)
-    rest[0] = 1.0
-    loaded = CellChain(
-        chain.pattern,
-        PureState(chain.length, np.kron(pay, rest)),
-        chain.boundary,
-    )
-    out = loaded
+    vec = np.zeros(1 << chain.length, dtype=complex)
+    vec[0], vec[1 << (chain.length - 1)] = pay
     for _ in range(rounds):
-        for j in range(out.period):
-            first = out.pattern[j]
-            second = out.pattern[(j + 1) % out.period]
-            out = apply_pulse(out, PairPulse(first, second, SWAP_MATRIX))
-    return out
+        for j in range(chain.period):
+            pair = chain.pattern[j], chain.pattern[(j + 1) % chain.period]
+            _pulse_in_place(chain, vec, PairPulse(*pair, SWAP_MATRIX))
+    return CellChain(chain.pattern, PureState(chain.length, vec), chain.boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -7,21 +7,20 @@ qubits.
 
 The module has two layers:
 
-* raw kernels (``apply_single_qubit``, ``apply_two_qubit``, ``apply_cz``,
-  ``measure_qubit``) operating on bare complex vectors, shared by the other
-  execution models;
+* kernels on bare complex vectors: the in-place ``_apply_in_place`` (2x2
+  on the two halves of one qubit, 4x4 on the four quarters of two) and
+  ``_flip_cz_quarter``, which ``run_program``, ``measure_and_flip`` and
+  ``global_control`` share, each on one private buffer wrapped in a
+  ``PureState`` once; and the allocating ``apply_single_qubit``,
+  ``apply_two_qubit`` and ``apply_cz`` behind ``apply_gate``, the
+  gate-by-gate fold the tests use as an independent reference;
 * the ``PureState`` API implementing program execution, exact readout
   distributions, multinomial sampling, and the measure-and-flip reset.
 
-``run_program`` evolves one private complex buffer and wraps it in a
-``PureState`` once, at the end, so the state is copied and its norm
-checked once per program rather than once per gate.  Rotations on one
-wire are multiplied into a pending 2x2 matrix for that wire.  A pending
-matrix is applied only when a CZ touches its wire and it is not diagonal
-(a diagonal matrix commutes with CZ), or at the end of the program.
-Every gate acts in place on the buffer: a diagonal matrix scales its two
-halves, any other matrix combines them through one half-size copy, and a
-CZ negates a quarter.  No more than two state vectors are alive at once.
+``run_program`` multiplies each wire's rotations into one pending 2x2
+matrix, applied before a CZ on that wire unless it is diagonal (and so
+commutes with the CZ), else at the end.  Every gate acts in place, so no
+more than two state vectors are alive at once.
 
 A ``Distribution`` holds its probabilities as one float array in outcome
 order.  Outcome key strings are built only when text is asked for
@@ -38,7 +37,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .program_ir import CZGate, Gate, Program, RotationGate, PAULI_X
+from .program_ir import CZGate, Gate, Program, RotationGate
 
 #: Largest register the dense engine will allocate (2**24 amplitudes = 256 MB).
 MAX_QUBITS = 24
@@ -47,7 +46,64 @@ _NORM_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# raw kernels on bare vectors
+# kernels on bare vectors
+
+
+def _parts(vec: np.ndarray, n: int, qubits: Sequence[int]) -> list[np.ndarray]:
+    """Views of ``vec`` where the listed qubits take each value, first qubit
+    most significant: two halves for one qubit, four quarters for two."""
+    if len(qubits) == 1:
+        q = qubits[0]
+        view = vec.reshape(1 << q, 2, 1 << (n - 1 - q))
+        return [view[:, 0], view[:, 1]]
+    a, b = qubits
+    lo, hi = min(a, b), max(a, b)
+    view = vec.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - 1 - hi))
+    return [view[:, i, :, j] if a < b else view[:, j, :, i] for i in (0, 1) for j in (0, 1)]
+
+
+def _apply_in_place(vec: np.ndarray, n: int, qubits: Sequence[int], matrix: np.ndarray) -> None:
+    """In place: apply a 2x2 matrix to one qubit, or a 4x4 matrix to two
+    qubits in the matrix's (a, b) index order, of ``vec``.
+
+    Row r overwrites part r of ``_parts``; a part is saved first only if a
+    later row reads it, and zero entries are skipped.  An entry of 1 moves
+    data and a row holding only its diagonal scales, so X and SWAP only
+    move data and a diagonal matrix only scales.  At most one vector of
+    saved parts and products is alive beside the buffer.  A saved part is
+    scaled in place on its last read, a live part as ``m * part``; the two
+    forms can differ in the last bit, so this order is part of the results.
+    """
+    parts = _parts(vec, n, qubits)
+    saved: dict[int, np.ndarray] = {}
+    for r, part in enumerate(parts):
+        if matrix[r + 1:, r].any():
+            saved[r] = part.copy()
+        fresh = matrix[r, r] == 0  # nothing of the part's old value stays
+        if not fresh and matrix[r, r] != 1:
+            part *= matrix[r, r]
+        for c, m in enumerate(matrix[r]):
+            if c == r or m == 0:
+                continue
+            last = c in saved and not matrix[r + 1:, c].any()
+            term = saved.pop(c) if last else saved.get(c, parts[c])
+            if m != 1:
+                term = np.multiply(term, m, out=term) if last else m * term
+            if fresh:
+                part[...] = term
+            else:
+                part += term
+            fresh = False
+
+
+def _flip_cz_quarter(vec: np.ndarray, n: int, qubit_a: int, qubit_b: int) -> None:
+    """In place: negate the amplitudes where both qubits are 1.
+
+    ``run_program``'s CZ; ``_apply_in_place`` with the CZ matrix would
+    multiply by -1, which gives the same values but other signs of zero.
+    """
+    quarter = _parts(vec, n, (qubit_a, qubit_b))[3]
+    np.negative(quarter, out=quarter)
 
 
 def apply_single_qubit(vec: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> np.ndarray:
@@ -73,39 +129,6 @@ def apply_cz(vec: np.ndarray, n: int, qubit_a: int, qubit_b: int) -> np.ndarray:
     sl[qubit_b] = 1
     psi[tuple(sl)] *= -1.0
     return psi.reshape(-1)
-
-
-def measure_qubit(
-    vec: np.ndarray,
-    n: int,
-    qubit: int,
-    rng: Optional[np.random.Generator] = None,
-    forced: Optional[int] = None,
-) -> tuple[np.ndarray, int, float]:
-    """Projective Z measurement of one qubit.
-
-    Returns (normalized post-state, outcome, probability of that outcome).
-    The outcome is drawn from ``rng`` unless ``forced`` pins it; forcing an
-    outcome of probability ~0 raises ValueError.
-    """
-    psi = vec.reshape((2,) * n)
-    p1 = float(np.sum(np.abs(np.take(psi, 1, axis=qubit)) ** 2))
-    p1 = min(max(p1, 0.0), 1.0)
-    probs = (1.0 - p1, p1)
-    if forced is not None:
-        outcome = forced
-    elif rng is not None:
-        outcome = int(rng.random() < p1)
-    else:
-        raise ValueError("measure_qubit needs either rng or forced")
-    p = probs[outcome]
-    if p < 1e-12:
-        raise ValueError(f"outcome {outcome} on qubit {qubit} has probability {p:.3e}")
-    post = psi.copy()
-    sl: list[object] = [slice(None)] * n
-    sl[qubit] = 1 - outcome
-    post[tuple(sl)] = 0.0
-    return post.reshape(-1) / math.sqrt(p), outcome, p
 
 
 # ---------------------------------------------------------------------------
@@ -316,35 +339,6 @@ def _is_diagonal(matrix: np.ndarray) -> bool:
     return matrix[0, 1] == 0 and matrix[1, 0] == 0
 
 
-def _apply_in_place(vec: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> None:
-    """In place: apply a 2x2 matrix to one qubit of ``vec``.
-
-    A diagonal matrix scales the qubit = 0 and qubit = 1 halves; any other
-    needs half a vector saved and half a vector of products, so the peak is
-    one vector beside the buffer (``apply_single_qubit`` allocates two).
-    """
-    view = vec.reshape(1 << qubit, 2, 1 << (n - 1 - qubit))
-    lo, hi = view[:, 0], view[:, 1]
-    if _is_diagonal(matrix):
-        lo *= matrix[0, 0]
-        hi *= matrix[1, 1]
-        return
-    saved = lo.copy()
-    lo *= matrix[0, 0]
-    lo += matrix[0, 1] * hi
-    hi *= matrix[1, 1]
-    saved *= matrix[1, 0]
-    hi += saved
-
-
-def _flip_cz_quarter(vec: np.ndarray, n: int, qubit_a: int, qubit_b: int) -> None:
-    """In place: negate the amplitudes where both qubits are 1."""
-    a, b = min(qubit_a, qubit_b), max(qubit_a, qubit_b)
-    view = vec.reshape(1 << a, 2, 1 << (b - a - 1), 2, 1 << (n - 1 - b))
-    quarter = view[:, 1, :, 1]
-    np.negative(quarter, out=quarter)
-
-
 def run_program(program: Program, s_in: str) -> PureState:
     """Run every gate on |s_in>.  The input must cover the program width.
 
@@ -369,10 +363,10 @@ def run_program(program: Program, s_in: str) -> PureState:
         else:
             for q in (gate.control, gate.target):
                 if q in pending and not _is_diagonal(pending[q]):
-                    _apply_in_place(vec, n, q, pending.pop(q))
+                    _apply_in_place(vec, n, (q,), pending.pop(q))
             _flip_cz_quarter(vec, n, gate.control, gate.target)
     for q, matrix in pending.items():
-        _apply_in_place(vec, n, q, matrix)
+        _apply_in_place(vec, n, (q,), matrix)
     return PureState(n, vec)
 
 
@@ -449,10 +443,16 @@ def measure_and_flip(
     state: PureState, qubits: Sequence[int], rng: np.random.Generator
 ) -> PureState:
     """Measure each listed qubit in turn, outcomes drawn from ``rng``, and
-    flip it when the outcome is 1; the qubits are not validated."""
-    vec = state.amplitudes
+    flip it when the outcome is 1, on one private copy: the measured half is
+    renormalised in place, into the qubit = 0 half; the qubits are not validated."""
+    vec = np.array(state.amplitudes)
     for q in qubits:
-        vec, outcome, _ = measure_qubit(vec, state.n, q, rng=rng)
-        if outcome == 1:
-            vec = apply_single_qubit(vec, state.n, q, PAULI_X)
+        lo, hi = _parts(vec, state.n, (q,))
+        p1 = min(max(float(np.sum(np.abs(hi) ** 2)), 0.0), 1.0)
+        outcome = int(rng.random() < p1)
+        p = p1 if outcome else 1.0 - p1
+        if p < 1e-12:
+            raise ValueError(f"outcome {outcome} on qubit {q} has probability {p:.3e}")
+        np.divide(hi if outcome else lo, math.sqrt(p), out=lo)
+        hi[...] = 0.0
     return PureState(state.n, vec)

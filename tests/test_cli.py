@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +215,29 @@ class TestExitCodes:
         assert len(table) == 7
         values = {entry["name"]: entry["low"] for entry in table}
         assert values["global control"] == 1e-11
+
+
+class TestModuleEntryPoint:
+    """``python -m qpc.cli`` runs the CLI in a fresh interpreter."""
+
+    @staticmethod
+    def _run(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "qpc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_help_exits_zero_with_usage(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: qpc")
+
+    def test_domain_error_exits_one(self):
+        proc = self._run(
+            "grover", "--n", "3", "--marked", "101", "--schedule", "linear", "--time", "nan"
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")

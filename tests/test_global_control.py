@@ -1,5 +1,7 @@
 """Tests for the species-addressed cell chain simulator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,33 +25,45 @@ from qpc import (
 )
 from qpc.global_control import adjacent_pairs
 from qpc.program_ir import CZ_MATRIX, PAULI_X, PAULI_Y, PAULI_Z, ParseError
-from qpc.statevec import apply_cz
+from qpc.statevec import apply_cz, apply_two_qubit
 
 
 def dense_pairwise(chain, pairs, matrix):
     """Edge-by-edge dense application of a two-qubit op, as an oracle."""
-    vec = chain.state.amplitudes.copy().reshape((2,) * chain.length)
+    vec = chain.state.amplitudes
     for a, b in pairs:
         if np.allclose(matrix, CZ_MATRIX):
             vec = apply_cz(vec, chain.length, a, b)
         else:
-            work = np.tensordot(
-                matrix.reshape(2, 2, 2, 2), vec, axes=([2, 3], [a, b])
-            )
-            vec = np.moveaxis(work, (0, 1), (a, b))
-    return vec.reshape(-1)
+            vec = apply_two_qubit(vec, chain.length, a, b, matrix)
+    return vec
 
 
-@st.composite
-def covariance_cases(draw):
-    """A random state on a periodic ABC/AB chain of up to 9 cells, one
-    species or pair pulse (named or R gate) and a period-multiple offset."""
+def random_unitary(seed):
+    """4x4 unitary: QR of a seeded complex Gaussian matrix.  Not symmetric
+    under exchanging the two qubits, unlike CZ and SWAP."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q
+
+
+def random_periodic_chain(draw):
+    """A random state on a periodic ABC/AB chain of up to 9 cells."""
     pattern = draw(st.sampled_from(["ABC", "AB"]))
     period = len(pattern)
     length = period * draw(st.integers(1, 9 // period))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     raw = rng.normal(size=1 << length) + 1j * rng.normal(size=1 << length)
-    chain = CellChain(pattern, PureState(length, raw / np.linalg.norm(raw)), "periodic")
+    return CellChain(pattern, PureState(length, raw / np.linalg.norm(raw)), "periodic")
+
+
+@st.composite
+def covariance_cases(draw):
+    """A random state on a periodic ABC/AB chain of up to 9 cells, one
+    species or pair pulse (named, R gate or random 4x4) and a
+    period-multiple offset."""
+    chain = random_periodic_chain(draw)
+    pattern, period, length = chain.pattern, chain.period, chain.length
     first = draw(st.sampled_from(pattern))
     if draw(st.booleans()):
         m = draw(st.integers(1, 8))
@@ -58,9 +72,71 @@ def covariance_cases(draw):
         pulse = SpeciesPulse(first, draw(st.sampled_from(gates)))
     else:
         second = draw(st.sampled_from([s for s in pattern if s != first]))
-        pulse = PairPulse(first, second, draw(st.sampled_from([CZ_MATRIX, SWAP_MATRIX])))
+        pair_gates = [CZ_MATRIX, SWAP_MATRIX, random_unitary(draw(st.integers(0, 2**32 - 1)))]
+        pulse = PairPulse(first, second, draw(st.sampled_from(pair_gates)))
     offset = period * draw(st.integers(-(length // period), length // period))
     return chain, pulse, offset
+
+
+def parity_ring():
+    """(|0000> + |0110> + i|1011> - |1101>) / 2 on a periodic AB ring."""
+    amps = np.zeros(16, dtype=complex)
+    amps[[0b0000, 0b0110, 0b1011, 0b1101]] = [0.5, 0.5, 0.5j, -0.5]
+    return CellChain("AB", PureState(4, amps), "periodic")
+
+
+PARITY_SCRIPTS = {
+    "exact": "PULSE A X\nPAIR A B CZ\nPULSE B Y\nPAIR B A SWAP\nMEASURE A\nPULSE B Z\nCOOL B\n",
+    "H": "PULSE A H\nPAIR A B CZ\nMEASURE B\nPULSE B H\nPAIR A B SWAP\nCOOL A\n",
+    "R": "PULSE A R 1 2 3 5\nPAIR B A CZ\nPULSE B R 7 0 1 4\nMEASURE A\nCOOL B\n",
+}
+
+# (script, seed) -> (measured weights, nonzero final amplitudes of
+# ``run_script(parity_ring(), script, seed)``), as the per-cell tensordot
+# kernels (``apply_single_qubit``, ``apply_two_qubit``) give them.
+SCRIPT_TABLE = {
+    ("exact", 0): ([1], {8: (1+0j)}),
+    ("exact", 1): ([1], {8: (1+0j)}),
+    ("exact", 2): ([1], {2: 0.9999999999999998j}),
+    ("exact", 3): ([0], {0: (1+0j)}),
+    ("H", 0): ([1], {
+        0: (-0.35355339059327373-0.35355339059327373j),
+        1: (0.35355339059327373-0.35355339059327373j),
+        4: (0.35355339059327373+0.35355339059327373j),
+        5: (-0.35355339059327373+0.35355339059327373j),
+    }),
+    ("H", 1): ([1], {
+        0: (0.35355339059327373-0.35355339059327373j),
+        1: (-0.35355339059327373-0.35355339059327373j),
+        4: (-0.35355339059327373+0.35355339059327373j),
+        5: (0.35355339059327373+0.35355339059327373j),
+    }),
+    ("H", 2): ([1], {
+        0: (-0.3535533905932737+0.3535533905932737j),
+        1: (0.3535533905932737+0.3535533905932737j),
+        4: (0.3535533905932737-0.3535533905932737j),
+        5: (-0.3535533905932737-0.3535533905932737j),
+    }),
+    ("H", 3): ([0], {
+        0: (0.5000000000000001+0j),
+        1: (0.5000000000000001+0j),
+        4: (0.5000000000000001+0j),
+        5: (0.5000000000000001+0j),
+    }),
+    ("R", 0): ([1], {
+        2: (-0.16443211769775798-0.16855884795508885j),
+        8: (0.9299198480732336-0.2824872910503024j),
+    }),
+    ("R", 1): ([1], {
+        2: (0.6815921770335925-0.1937780840205868j),
+        8: (-0.20201230044771+0.6760718814059216j),
+    }),
+    ("R", 2): ([1], {
+        2: (-0.9035425784313644+0.04016877379611254j),
+        8: (0.02610639113888895+0.4258118538920938j),
+    }),
+    ("R", 3): ([0], {0: (0.25182161277423315-0.9677736694805165j)}),
+}
 
 
 class TestCellChain:
@@ -122,6 +198,18 @@ class TestPulses:
         pulsed = apply_pulse(plus, PairPulse("A", "B", CZ_MATRIX))
         expected = dense_pairwise(plus, adjacent_pairs(plus, "A", "B"), CZ_MATRIX)
         np.testing.assert_allclose(pulsed.state.amplitudes, expected, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_pair_pulse_matches_dense_oracle_in_qubit_order(self, data):
+        chain = random_periodic_chain(data.draw)
+        first = data.draw(st.sampled_from(chain.pattern))
+        second = data.draw(st.sampled_from([s for s in chain.pattern if s != first]))
+        matrix = random_unitary(data.draw(st.integers(0, 2**32 - 1)))
+        pulsed = apply_pulse(chain, PairPulse(first, second, matrix))
+        # the wrap pair (length - 1, 0) is among the pairs when it matches
+        expected = dense_pairwise(chain, adjacent_pairs(chain, first, second), matrix)
+        assert np.max(np.abs(pulsed.state.amplitudes - expected)) <= 1e-12
 
     def test_identity_pulse_is_identity(self):
         rng = np.random.default_rng(71)
@@ -334,6 +422,50 @@ class TestTransport:
             transport_demo(chain, np.array([1.0, 0.0]), 1)
 
 
+class TestPeakMemory:
+    """A pulse, a species cooling and a transport run each work on one
+    private buffer, so at most two state vectors are alive: the buffer
+    beside its saved parts and products, then beside the final
+    ``PureState`` copy.  The slack covers numpy's iteration buffers on
+    strided parts (up to 256 KiB whatever the length) and stays below the
+    quarter vector one more saved part would add."""
+
+    LENGTH = 18
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        rng = np.random.default_rng(78)
+        size = 1 << self.LENGTH
+        raw = rng.normal(size=size) + 1j * rng.normal(size=size)
+        state = PureState(self.LENGTH, raw / np.linalg.norm(raw))
+        return (
+            CellChain("ABC", state, "periodic"),
+            chain_from_bits("ABC", "0" * self.LENGTH, "periodic"),
+        )
+
+    OPERATIONS = {
+        "X pulse": lambda ch, zero: apply_pulse(ch, SpeciesPulse("A", PAULI_X)),
+        "H pulse": lambda ch, zero: apply_pulse(ch, SpeciesPulse("B", HADAMARD)),
+        "4x4 pair pulse": lambda ch, zero: apply_pulse(
+            ch, PairPulse("C", "A", random_unitary(79))
+        ),
+        "cooling": lambda ch, zero: cool_species(ch, "B", seed=3),
+        "transport": lambda ch, zero: transport_demo(zero, np.array([0.6, 0.8j]), 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPERATIONS))
+    def test_peak_is_two_state_vectors(self, chains, name):
+        operation = self.OPERATIONS[name]
+        operation(*chains)
+        tracemalloc.start()
+        try:
+            operation(*chains)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (1 << self.LENGTH) * 16 + (1 << 19)
+
+
 class TestScripts:
     def test_script_round_trip(self):
         chain = chain_from_bits("ABC", "000000")
@@ -375,6 +507,19 @@ class TestScripts:
         with pytest.raises(ParseError) as info:
             run_script(chain, "PULSE A X\nWOBBLE B")
         assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("case", sorted(SCRIPT_TABLE))
+    def test_script_outputs_match_fixed_table(self, case):
+        name, seed = case
+        weights, nonzero = SCRIPT_TABLE[case]
+        final, events = run_script(parity_ring(), PARITY_SCRIPTS[name], seed=seed)
+        assert [e["weight"] for e in events if e["op"] == "measure"] == weights
+        expected = np.zeros(16, dtype=complex)
+        expected[list(nonzero)] = list(nonzero.values())
+        # X, Y, Z, SWAP and CZ only move, negate or rotate by i exactly;
+        # H and R products round differently from a tensordot
+        atol = 0.0 if name == "exact" else 1e-15
+        assert np.max(np.abs(final.state.amplitudes - expected)) <= atol
 
     def test_script_determinism(self):
         chain = chain_from_bits("ABC", "000000")

@@ -25,7 +25,7 @@ from qpc import (
     sample,
     total_variation_distance,
 )
-from qpc.statevec import apply_gate, state_distribution
+from qpc.statevec import apply_gate, measure_and_flip, state_distribution
 from conftest import random_program
 
 BELL_TYPE = "R 0 0 32 0 8\nR 1 0 32 0 8\nCZ 0 1"
@@ -420,6 +420,53 @@ class TestSampling:
             sample(Distribution({"0": 1.0}), 0, seed=1)
 
 
+def cool_states():
+    """A 4-qubit state of +-1/2 and +-i/2 amplitudes and a 3-qubit ramp."""
+    quarters = np.zeros(16, dtype=complex)
+    quarters[[0b0000, 0b0110, 0b1011, 0b1101]] = [0.5, 0.5, 0.5j, -0.5]
+    ramp = np.arange(1, 9) + 1j * (np.arange(8) % 3)
+    return {"quarters": PureState(4, quarters), "ramp": PureState(3, ramp / np.linalg.norm(ramp))}
+
+
+# (state, seed, qubits) -> nonzero amplitudes of ``cool``, as measuring
+# with a projected copy and flipping with ``apply_single_qubit`` gives them.
+COOL_TABLE = {
+    ("quarters", 0, (0,)): {0: (0.7071067811865475+0j), 6: (0.7071067811865475+0j)},
+    ("quarters", 0, (1, 2)): {9: 1j},
+    ("quarters", 0, (2, 0, 1)): {1: (-1+0j)},
+    ("quarters", 1, (0,)): {0: (0.7071067811865475+0j), 6: (0.7071067811865475+0j)},
+    ("quarters", 1, (1, 2)): {0: (0.9999999999999998+0j)},
+    ("quarters", 1, (2, 0, 1)): {0: (0.9999999999999998+0j)},
+    ("quarters", 2, (0,)): {3: 0.7071067811865475j, 5: (-0.7071067811865475+0j)},
+    ("quarters", 2, (1, 2)): {0: (1+0j)},
+    ("quarters", 2, (2, 0, 1)): {1: 1j},
+    ("ramp", 0, (0,)): {
+        0: (0.37267799624996495+0.07453559924999298j),
+        1: (0.44721359549995787+0.14907119849998596j),
+        2: (0.5217491947499509+0j),
+        3: (0.5962847939999438+0.07453559924999298j),
+    },
+    ("ramp", 0, (1, 2)): {0: (0.4444444444444445+0j), 4: (0.888888888888889+0.11111111111111112j)},
+    ("ramp", 0, (2, 0, 1)): {0: (1+0j)},
+    ("ramp", 1, (0,)): {
+        0: (0.37267799624996495+0.07453559924999298j),
+        1: (0.44721359549995787+0.14907119849998596j),
+        2: (0.5217491947499509+0j),
+        3: (0.5962847939999438+0.07453559924999298j),
+    },
+    ("ramp", 1, (1, 2)): {0: (0.3810003810005715+0.254000254000381j), 4: (0.8890008890013334+0j)},
+    ("ramp", 1, (2, 0, 1)): {0: (1+0j)},
+    ("ramp", 2, (0,)): {
+        0: (0.37267799624996495+0.07453559924999298j),
+        1: (0.44721359549995787+0.14907119849998596j),
+        2: (0.5217491947499509+0j),
+        3: (0.5962847939999438+0.07453559924999298j),
+    },
+    ("ramp", 2, (1, 2)): {0: (0.4444444444444445+0j), 4: (0.888888888888889+0.11111111111111112j)},
+    ("ramp", 2, (2, 0, 1)): {0: (0.9486832980505134+0.31622776601683783j)},
+}
+
+
 class TestCool:
     def test_plus_state_to_zero(self):
         state = apply_gate(init_from_bitstring("0"), RotationGate(0, (0, 32, 0), 8))
@@ -448,3 +495,25 @@ class TestCool:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             cool(init_from_bitstring("0"), [1])
+
+    @pytest.mark.parametrize("case", sorted(COOL_TABLE))
+    def test_outputs_match_fixed_table(self, case):
+        label, seed, qubits = case
+        state = cool_states()[label]
+        expected = np.zeros(1 << state.n, dtype=complex)
+        expected[list(COOL_TABLE[case])] = list(COOL_TABLE[case].values())
+        assert np.array_equal(cool(state, qubits, seed=seed).amplitudes, expected)
+
+    def test_measure_and_flip_draws_one_number_per_qubit(self):
+        # one generator across two calls: the second call's outcomes come
+        # from the draws after the first call's single one
+        state = cool_states()["quarters"]
+        rng = np.random.default_rng(2)
+        first = measure_and_flip(state, [0], rng).amplitudes
+        second = measure_and_flip(state, [2, 1], rng).amplitudes
+        expected = np.zeros(16, dtype=complex)
+        expected[[3, 5]] = [0.7071067811865475j, -0.7071067811865475]
+        assert np.array_equal(first, expected)
+        expected = np.zeros(16, dtype=complex)
+        expected[9] = 0.9999999999999998j
+        assert np.array_equal(second, expected)
