@@ -35,20 +35,19 @@ from .program_ir import (
     checked_unitary,
     parse_gate_fields,
 )
-from .statevec import PureState, _apply_in_place, init_from_bitstring, measure_and_flip
+from .statevec import (
+    PureState,
+    _SWAP,
+    _apply_in_place,
+    init_from_bitstring,
+    marginal_probabilities,
+    measure_and_flip,
+)
 
 SPECIES_ALPHABET = "ABC"
 BOUNDARIES = ("open", "periodic")
 
-SWAP_MATRIX = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ],
-    dtype=complex,
-)
+SWAP_MATRIX = _SWAP
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -171,7 +170,7 @@ def apply_pulse(chain: CellChain, pulse: GlobalPulse) -> CellChain:
     """Apply one global pulse; every matching cell (or pair) gets the op."""
     vec = np.array(chain.state.amplitudes)
     _pulse_in_place(chain, vec, pulse)
-    return CellChain(chain.pattern, PureState(chain.length, vec), chain.boundary)
+    return CellChain(chain.pattern, PureState._adopt(chain.length, vec), chain.boundary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,30 +189,33 @@ class BulkResult:
             )
 
 
-def _species_weights(chain: CellChain, species: str) -> np.ndarray:
-    """Hamming weight over the species' cells for every basis index."""
-    n = chain.length
-    idx = np.arange(1 << n)
-    w = np.zeros(1 << n, dtype=np.int64)
-    for c in chain.cells_of(species):
-        w += (idx >> (n - 1 - c)) & 1
-    return w
+def _weight_probabilities(chain: CellChain, species: str) -> tuple[np.ndarray, np.ndarray]:
+    """Hamming weight of each configuration of the species' cells (index
+    bits in cell order) and the probability of each weight, 0 to k."""
+    cells = chain.cells_of(species)
+    configs = np.arange(1 << len(cells))
+    config_weight = np.zeros(len(configs), dtype=np.int64)
+    for j in range(len(cells)):
+        config_weight += (configs >> j) & 1
+    marginal = marginal_probabilities(chain.state.probabilities(), chain.length, cells)
+    return config_weight, np.bincount(config_weight, weights=marginal, minlength=len(cells) + 1)
 
 
 def _bulk_measure_rng(
     chain: CellChain, species: str, rng: np.random.Generator
 ) -> BulkResult:
-    weights = _species_weights(chain, species)
-    probs2 = np.abs(chain.state.amplitudes) ** 2
-    k = len(chain.cells_of(species))
-    w_probs = np.bincount(weights, weights=probs2, minlength=k + 1)
-    w_probs = np.clip(w_probs, 0.0, None)
-    w_probs /= w_probs.sum()
-    w = int(rng.choice(k + 1, p=w_probs))
-    mask = weights == w
-    vec = np.where(mask, chain.state.amplitudes, 0.0)
-    vec /= np.linalg.norm(vec)
-    post = CellChain(chain.pattern, PureState(chain.length, vec), chain.boundary)
+    config_weight, w_probs = _weight_probabilities(chain, species)
+    draw = np.clip(w_probs, 0.0, None)
+    w = int(rng.choice(len(w_probs), p=draw / draw.sum()))
+    # collapse one private copy in place: a factor per configuration of the
+    # species' cells, broadcast over the other cells
+    scale = np.where(config_weight == w, 1.0 / math.sqrt(w_probs[w]), 0.0)
+    n = chain.length
+    cells = chain.cells_of(species)
+    vec = np.array(chain.state.amplitudes)
+    tensor = vec.reshape((2,) * n)
+    tensor *= scale.reshape([2 if c in cells else 1 for c in range(n)])
+    post = CellChain(chain.pattern, PureState._adopt(n, vec), chain.boundary)
     return BulkResult(species=species, weight=w, chain=post)
 
 
@@ -291,7 +293,7 @@ def transport_demo(chain: CellChain, payload: np.ndarray, rounds: int) -> CellCh
         for j in range(chain.period):
             pair = chain.pattern[j], chain.pattern[(j + 1) % chain.period]
             _pulse_in_place(chain, vec, PairPulse(*pair, SWAP_MATRIX))
-    return CellChain(chain.pattern, PureState(chain.length, vec), chain.boundary)
+    return CellChain(chain.pattern, PureState._adopt(chain.length, vec), chain.boundary)
 
 
 # ---------------------------------------------------------------------------

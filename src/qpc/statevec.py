@@ -7,20 +7,25 @@ qubits.
 
 The module has two layers:
 
-* kernels on bare complex vectors: the in-place ``_apply_in_place`` (2x2
-  on the two halves of one qubit, 4x4 on the four quarters of two) and
-  ``_flip_cz_quarter``, which ``run_program``, ``measure_and_flip`` and
-  ``global_control`` share, each on one private buffer wrapped in a
-  ``PureState`` once; and the allocating ``apply_single_qubit``,
-  ``apply_two_qubit`` and ``apply_cz`` behind ``apply_gate``, the
-  gate-by-gate fold the tests use as an independent reference;
+* kernels on bare complex vectors: the in-place ``_apply_in_place`` (a 2x2
+  matrix on one qubit or a 4x4 on two) and ``_flip_cz_quarter``, which
+  ``run_program``, ``measure_and_flip`` and ``global_control`` share, each
+  on one private buffer that becomes the result's ``PureState`` without a
+  copy; and the allocating ``apply_single_qubit``, ``apply_two_qubit`` and
+  ``apply_cz`` behind ``apply_gate``, the gate-by-gate fold the tests use
+  as an independent reference;
 * the ``PureState`` API implementing program execution, exact readout
   distributions, multinomial sampling, and the measure-and-flip reset.
 
-``run_program`` multiplies each wire's rotations into one pending 2x2
-matrix, applied before a CZ on that wire unless it is diagonal (and so
-commutes with the CZ), else at the end.  Every gate acts in place, so no
-more than two state vectors are alive at once.
+``_apply_in_place`` moves and scales the halves or quarters of the vector
+for a monomial matrix (diagonals, X, Y, CZ, SWAP); any other matrix costs
+one read and one write of the vector, in L2-sized blocks of one
+``np.matmul`` each (cache blocking as in Häner & Steiger, SC'17).
+``run_program`` fuses each wire's rotations, and a CZ on neighbouring
+qubits with them, into as few such passes as it can (see its docstring).
+A run keeps one state vector and one 256 KiB block alive beside small
+matrices; a non-diagonal monomial matrix adds up to one more vector while
+it moves data.
 
 A ``Distribution`` holds its probabilities as one float array in outcome
 order.  Outcome key strings are built only when text is asked for
@@ -44,6 +49,19 @@ MAX_QUBITS = 24
 
 _NORM_TOL = 1e-10
 
+#: Amplitudes per block of the dense kernel: 2**14 complex values, 256 KiB,
+#: so a block and its product stay in a core's L2 cache.
+_BLOCK = 1 << 14
+
+#: Widest row of contiguous amplitudes (the gate's d values times the
+#: amplitudes under its qubits) that the dense kernel multiplies by
+#: ``kron(matrix.T, I)``; measured at n = 20, wider rows are faster as a
+#: stack of ``matrix @ part`` products.
+_KRON_WIDTH = 32
+
+#: SWAP of two qubits; ``global_control.SWAP_MATRIX``.
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
 
 # ---------------------------------------------------------------------------
 # kernels on bare vectors
@@ -62,38 +80,107 @@ def _parts(vec: np.ndarray, n: int, qubits: Sequence[int]) -> list[np.ndarray]:
     return [view[:, i, :, j] if a < b else view[:, j, :, i] for i in (0, 1) for j in (0, 1)]
 
 
+def _is_monomial(matrix: np.ndarray) -> bool:
+    """One nonzero entry in every row and column: for a unitary, as many
+    nonzero entries as rows."""
+    return np.count_nonzero(matrix) == len(matrix)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices as one broadcast product, which
+    costs a few microseconds where ``np.kron`` costs tens."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def _apply_in_place(vec: np.ndarray, n: int, qubits: Sequence[int], matrix: np.ndarray) -> None:
     """In place: apply a 2x2 matrix to one qubit, or a 4x4 matrix to two
     qubits in the matrix's (a, b) index order, of ``vec``.
 
-    Row r overwrites part r of ``_parts``; a part is saved first only if a
-    later row reads it, and zero entries are skipped.  An entry of 1 moves
-    data and a row holding only its diagonal scales, so X and SWAP only
-    move data and a diagonal matrix only scales.  At most one vector of
-    saved parts and products is alive beside the buffer.  A saved part is
-    scaled in place on its last read, a live part as ``m * part``; the two
-    forms can differ in the last bit, so this order is part of the results.
+    A monomial matrix (diagonals, X, Y, CZ, SWAP) moves and scales the
+    parts of ``_parts``: row r overwrites part r, a part is saved first
+    only if a later row reads it, and an entry of 1 only moves data, so X
+    and SWAP only move data and a diagonal matrix only scales.  A saved
+    part is scaled in place, a live part as ``m * part``; the two forms can
+    differ in the last bit, so this order is part of the results.  Up to
+    one vector is alive beside the buffer: a saved half and a product or
+    numpy's copy of a part assigned from another part of the same buffer.
+
+    Any other matrix is one blocked product (``_apply_dense``); a pair that
+    is not adjacent is first brought next to its lower qubit by a SWAP of
+    data and moved back after.
     """
+    if _is_monomial(matrix):
+        _move_and_scale(vec, n, qubits, matrix)
+        return
+    if len(qubits) == 1:
+        _apply_dense(vec, n, qubits[0], matrix)
+        return
+    a, b = qubits
+    if a > b:
+        a, b = b, a
+        matrix = matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    if b > a + 1:
+        _move_and_scale(vec, n, (a + 1, b), _SWAP)
+    _apply_dense(vec, n, a, matrix)
+    if b > a + 1:
+        _move_and_scale(vec, n, (a + 1, b), _SWAP)
+
+
+def _move_and_scale(vec: np.ndarray, n: int, qubits: Sequence[int], matrix: np.ndarray) -> None:
+    """``_apply_in_place`` for a monomial matrix."""
     parts = _parts(vec, n, qubits)
+    cols = (np.flatnonzero(matrix) % len(matrix)).tolist()  # one entry per row
     saved: dict[int, np.ndarray] = {}
     for r, part in enumerate(parts):
-        if matrix[r + 1:, r].any():
+        c = cols[r]
+        m = matrix[r, c]
+        if r in cols[r + 1:]:
             saved[r] = part.copy()
-        fresh = matrix[r, r] == 0  # nothing of the part's old value stays
-        if not fresh and matrix[r, r] != 1:
-            part *= matrix[r, r]
-        for c, m in enumerate(matrix[r]):
-            if c == r or m == 0:
-                continue
-            last = c in saved and not matrix[r + 1:, c].any()
-            term = saved.pop(c) if last else saved.get(c, parts[c])
+        if c == r:
             if m != 1:
-                term = np.multiply(term, m, out=term) if last else m * term
-            if fresh:
-                part[...] = term
-            else:
-                part += term
-            fresh = False
+                part *= m
+            continue
+        term = saved.pop(c, None)  # row c came first, so part c is saved
+        if term is None:
+            term = parts[c] if m == 1 else m * parts[c]
+        elif m != 1:
+            np.multiply(term, m, out=term)
+        part[...] = term
+
+
+def _apply_dense(vec: np.ndarray, n: int, lo: int, matrix: np.ndarray) -> None:
+    """In place: a d x d matrix on the log2(d) qubits from ``lo`` on, in one
+    read and one write of ``vec``.
+
+    The vector is taken ``_BLOCK`` amplitudes at a time; each block is one
+    ``np.matmul`` into one reused block-sized buffer, then copied back.
+    With ``below`` amplitudes under the gate's qubits, a row of
+    ``d * below <= _KRON_WIDTH`` contiguous amplitudes is multiplied by
+    ``kron(matrix.T, I_below)``, which puts many rows in one product; wider
+    rows take ``matrix @ view(-1, d, below)``.
+    """
+    d = len(matrix)
+    below = len(vec) // (d << lo)
+    tmp = np.empty(min(_BLOCK, len(vec)), dtype=complex)
+    if d * below <= _KRON_WIDTH:
+        rows = vec.reshape(-1, d * below)
+        op = _kron(matrix.T, np.eye(below))
+        step = _BLOCK // (d * below)
+        for i in range(0, len(rows), step):
+            block = rows[i:i + step]
+            out = tmp[:block.size].reshape(block.shape)
+            np.matmul(block, op, out=out)
+            block[...] = out
+        return
+    view = vec.reshape(-1, d, below)
+    cols = min(below, _BLOCK // d)
+    step = max(_BLOCK // (d * below), 1)
+    for i in range(0, len(view), step):
+        for j in range(0, below, cols):
+            block = view[i:i + step, :, j:j + cols]
+            out = tmp[:block.size].reshape(block.shape)
+            np.matmul(matrix, block, out=out)
+            block[...] = out
 
 
 def _flip_cz_quarter(vec: np.ndarray, n: int, qubit_a: int, qubit_b: int) -> None:
@@ -143,9 +230,21 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        self._seal(np.array(self.amplitudes, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, n: int, vec: np.ndarray) -> "PureState":
+        """A state that takes ``vec``, a private complex buffer, as its
+        amplitudes without a copy; the checks are those of the constructor."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "n", n)
+        state._seal(vec)
+        return state
+
+    def _seal(self, amps: np.ndarray) -> None:
+        """Check the qubit count, shape and norm; freeze and keep ``amps``."""
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"qubit count {self.n} outside [1, {MAX_QUBITS}]")
-        amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} amplitudes, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
@@ -343,13 +442,15 @@ def run_program(program: Program, s_in: str) -> PureState:
     """Run every gate on |s_in>.  The input must cover the program width.
 
     The gates act on one private buffer.  Each wire's rotations are
-    multiplied into one pending 2x2 matrix; a CZ first applies the pending
-    matrix of each wire it touches unless that matrix is diagonal (and so
-    commutes with the CZ), and the matrices still pending are applied at
-    the end.  Every gate is applied in place.  The result is wrapped in a
-    ``PureState`` once: one final copy and the run's only normalization
-    check.  Amplitudes agree with the gate-by-gate fold of
-    ``apply_gate`` to rounding (the tests hold them to 1e-12).
+    multiplied into one pending 2x2 matrix.  A CZ on qubits (q, q + 1)
+    where either pending matrix is not diagonal is multiplied with both
+    into one 4x4 matrix; any other CZ first applies the pending matrix of
+    each wire it touches unless that matrix is diagonal (and so commutes
+    with the CZ).  The matrices still pending are applied at the end.
+    Every gate is applied in place, and the buffer becomes the result's
+    ``PureState`` without a copy, after the run's only normalization
+    check.  Amplitudes agree with the gate-by-gate fold of ``apply_gate``
+    to rounding (the tests hold them to 1e-12).
     """
     vec = _basis_vector(s_in)
     n = len(s_in)
@@ -360,14 +461,23 @@ def run_program(program: Program, s_in: str) -> PureState:
         if isinstance(gate, RotationGate):
             q = gate.target
             pending[q] = np.dot(gate.matrix(), pending[q]) if q in pending else gate.matrix()
+            continue
+        lo, hi = sorted((gate.control, gate.target))
+        if hi == lo + 1 and any(
+            q in pending and not _is_diagonal(pending[q]) for q in (lo, hi)
+        ):
+            eye = np.eye(2)
+            fused = _kron(pending.pop(lo, eye), pending.pop(hi, eye))
+            fused[3] *= -1.0
+            _apply_in_place(vec, n, (lo, hi), fused)
         else:
-            for q in (gate.control, gate.target):
+            for q in (lo, hi):
                 if q in pending and not _is_diagonal(pending[q]):
                     _apply_in_place(vec, n, (q,), pending.pop(q))
-            _flip_cz_quarter(vec, n, gate.control, gate.target)
+            _flip_cz_quarter(vec, n, lo, hi)
     for q, matrix in pending.items():
         _apply_in_place(vec, n, (q,), matrix)
-    return PureState(n, vec)
+    return PureState._adopt(n, vec)
 
 
 def marginal_probabilities(
@@ -455,4 +565,4 @@ def measure_and_flip(
             raise ValueError(f"outcome {outcome} on qubit {q} has probability {p:.3e}")
         np.divide(hi if outcome else lo, math.sqrt(p), out=lo)
         hi[...] = 0.0
-    return PureState(state.n, vec)
+    return PureState._adopt(state.n, vec)

@@ -287,11 +287,16 @@ class TestBulkMeasure:
         rng = np.random.default_rng(72)
         raw = rng.normal(size=64) + 1j * rng.normal(size=64)
         chain = CellChain("ABC", PureState(6, raw / np.linalg.norm(raw)))
-        from qpc.global_control import _species_weights
+        from qpc.global_control import _weight_probabilities
 
-        weights = _species_weights(chain, "B")
-        probs = np.bincount(weights, weights=np.abs(chain.state.amplitudes) ** 2)
+        weights, probs = _weight_probabilities(chain, "B")
         assert abs(probs.sum() - 1.0) < 1e-10
+        # against the weight of every basis index, binned over the full vector
+        idx = np.arange(64)
+        full = sum((idx >> (5 - c)) & 1 for c in chain.cells_of("B"))
+        expected = np.bincount(full, weights=np.abs(chain.state.amplitudes) ** 2)
+        np.testing.assert_allclose(probs, expected, atol=1e-14)
+        assert weights.tolist() == [0, 1, 1, 2]
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(73)
@@ -423,12 +428,15 @@ class TestTransport:
 
 
 class TestPeakMemory:
-    """A pulse, a species cooling and a transport run each work on one
-    private buffer, so at most two state vectors are alive: the buffer
-    beside its saved parts and products, then beside the final
-    ``PureState`` copy.  The slack covers numpy's iteration buffers on
-    strided parts (up to 256 KiB whatever the length) and stays below the
-    quarter vector one more saved part would add."""
+    """A pulse, a species cooling, a transport run and a bulk measurement
+    each work on one private buffer, handed to the new ``PureState``
+    without a copy, so at most two state vectors are alive: the buffer
+    beside up to one vector of saved parts and copies (moves and scales) or
+    the probabilities (bulk measurement); a dense pulse adds one 256 KiB
+    block.
+    The slack covers numpy's iteration buffers on strided parts (up to
+    256 KiB whatever the length) and stays below the quarter vector one
+    more saved part would add."""
 
     LENGTH = 18
 
@@ -451,6 +459,7 @@ class TestPeakMemory:
         ),
         "cooling": lambda ch, zero: cool_species(ch, "B", seed=3),
         "transport": lambda ch, zero: transport_demo(zero, np.array([0.6, 0.8j]), 5),
+        "bulk measure": lambda ch, zero: bulk_measure(ch, "B", seed=3),
     }
 
     @pytest.mark.parametrize("name", sorted(OPERATIONS))

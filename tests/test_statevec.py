@@ -25,7 +25,15 @@ from qpc import (
     sample,
     total_variation_distance,
 )
-from qpc.statevec import apply_gate, measure_and_flip, state_distribution
+from qpc.program_ir import CZ_MATRIX, PAULI_Y
+from qpc.statevec import (
+    _apply_in_place,
+    apply_gate,
+    apply_single_qubit,
+    apply_two_qubit,
+    measure_and_flip,
+    state_distribution,
+)
 from conftest import random_program
 
 BELL_TYPE = "R 0 0 32 0 8\nR 1 0 32 0 8\nCZ 0 1"
@@ -109,6 +117,68 @@ def union_tvd(a, b):
     return 0.5 * math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a.keys() | b.keys())
 
 
+def unitary(seed, d):
+    """d x d unitary: QR of a seeded complex Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+def brickwork(rng, n, layers):
+    """One dense rotation per wire, then CZs on alternating neighbour pairs,
+    written in both orders, so every CZ meets dense pending rotations on
+    both of its wires."""
+    gates = []
+    for layer in range(layers):
+        for q in range(n):
+            gates.append(RotationGate(q, tuple(int(v) for v in rng.integers(1, 64, size=3)), 6))
+        for q in range(layer % 2, n - 1, 2):
+            gates.append(CZGate(q, q + 1) if (q // 2) % 2 else CZGate(q + 1, q))
+    return Program(tuple(gates))
+
+
+#: (name, matrix) for the kernel test: dense matrices take the blocked
+#: product, monomial ones the moves and scales.
+KERNEL_MATRICES = {
+    "dense 2x2": unitary(1, 2),
+    "diagonal 2x2": np.diag([np.exp(0.3j), np.exp(-1.1j)]),
+    "Y": PAULI_Y,
+    "dense 4x4": unitary(2, 4),
+    "CZ": CZ_MATRIX,
+    "phased permutation 4x4": np.eye(4)[[2, 0, 3, 1]] * np.exp(1j * np.arange(4)),
+}
+
+
+class TestKernel:
+    """``_apply_in_place`` at n = 16: 2**16 amplitudes, several blocks of the
+    dense kernel, and rows both of the kron product and of the stacked one."""
+
+    N = 16
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        rng = np.random.default_rng(47)
+        raw = rng.normal(size=1 << self.N) + 1j * rng.normal(size=1 << self.N)
+        return raw / np.linalg.norm(raw)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MATRICES))
+    def test_matches_tensordot(self, state, name):
+        matrix, n = KERNEL_MATRICES[name], self.N
+        if len(matrix) == 2:
+            targets = [(q,) for q in range(n)]
+        else:
+            targets = [(q, q + 1) for q in range(n - 1)] + [(q + 1, q) for q in range(n - 1)]
+            targets += [(n - 1, 0), (0, n - 1), (3, 9)]
+        for qubits in targets:
+            vec = state.copy()
+            _apply_in_place(vec, n, qubits, matrix)
+            if len(qubits) == 1:
+                expected = apply_single_qubit(state, n, qubits[0], matrix)
+            else:
+                expected = apply_two_qubit(state, n, *qubits, matrix)
+            assert np.max(np.abs(vec - expected)) <= 1e-12, qubits
+
+
 class TestInit:
     def test_all_zeros(self):
         state = init_from_bitstring("00")
@@ -144,6 +214,26 @@ class TestPureState:
         state = init_from_bitstring("0")
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "n, amps",
+        [
+            (1, [np.nan, 1.0]),
+            (1, [1.0, 1.0]),
+            (2, [1.0, 0.0]),
+            (0, [1.0]),
+            (25, [1.0]),
+        ],
+    )
+    def test_adopt_runs_the_constructor_checks(self, n, amps):
+        with pytest.raises(ValueError):
+            PureState._adopt(n, np.array(amps, dtype=complex))
+
+    def test_adopt_keeps_the_buffer(self):
+        vec = np.array([0.6, 0.8j])
+        state = PureState._adopt(1, vec)
+        assert state.amplitudes is vec
+        assert not vec.flags.writeable
 
 
 class TestApplyGate:
@@ -203,6 +293,30 @@ class TestRunProgram:
         state = run_program(program, s_in)
         assert np.max(np.abs(state.amplitudes - expected.amplitudes)) <= 1e-12
 
+    @pytest.mark.parametrize("n, layers, seed", [(4, 3, 48), (7, 4, 49), (10, 2, 50)])
+    def test_brickwork_matches_gate_by_gate_fold(self, n, layers, seed):
+        program = brickwork(np.random.default_rng(seed), n, layers)
+        s_in = format(seed, f"0{n}b")[-n:]
+        expected = init_from_bitstring(s_in)
+        for gate in program.gates:
+            expected = apply_gate(expected, gate)
+        state = run_program(program, s_in)
+        assert np.max(np.abs(state.amplitudes - expected.amplitudes)) <= 1e-12
+
+    def test_peak_memory_is_one_state_vector_and_a_block(self):
+        n = 16
+        program = random_program(np.random.default_rng(46), n, 120)
+        run_program(program, "0" * n)
+        tracemalloc.start()
+        try:
+            run_program(program, "0" * n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the buffer is handed to the PureState without a copy; beside it
+        # live one 256 KiB block of the dense kernel and small matrices
+        assert peak <= (1 << n) * 16 + (1 << 19)
+
     def test_peak_memory_is_two_state_vectors(self):
         n = 16
         program = random_program(np.random.default_rng(46), n, 120)
@@ -213,10 +327,12 @@ class TestRunProgram:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two vectors: the buffer beside its half-size temporaries, then
-        # beside the final PureState copy.  The slack covers numpy's
-        # iteration buffers on strided halves (up to 256 KiB whatever n is)
-        # and stays below the half vector one more temporary would add.
+        # at most two vectors: the buffer beside up to one vector of saved
+        # parts and copies (a monomial move) or one dense-kernel block; the
+        # PureState takes the buffer without a copy.  The slack covers
+        # numpy's iteration buffers on strided halves (up to 256 KiB
+        # whatever n is) and stays below the half vector one more temporary
+        # would add.
         assert peak <= 2 * (1 << n) * 16 + (1 << 19)
 
     def test_agrees_with_dense_unitary(self):
