@@ -27,16 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Dense-matrix guard: 2**12 x 2**12 floats is already ~134 MB.
-MAX_DENSE_QUBITS = 12
+from .program_ir import MAX_DENSE_QUBITS
 
 #: Largest search instance accepted (desk-scale bound).
 MAX_QUBITS = 14
 
-#: Most midpoint steps of one run; ``evolve`` peaks at 25 B (linear) to 33 B
-#: (local) per step, about 140 MiB at the cap, nearly all of it the
-#: ``lambdas`` trace and its temporaries.
+#: Most midpoint steps of one run, a time guard: about 0.6 s of ``evolve``
+#: at 0.13 us per step.  Its memory does not grow with the steps.
 MAX_STEPS = 4_500_000
+
+#: Largest instance ``evolve_dense`` walks; each step diagonalizes H.
+_DENSE_EVOLVE_QUBITS = 8
 
 SCHEDULE_KINDS = ("linear", "local")
 
@@ -87,25 +88,19 @@ class Schedule:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionReport:
-    """Outcome of one annealing run.
-
-    ``lambdas`` is lam at the k + 1 step edges, from lam(0) to lam(T).
-    """
+    """Outcome of one annealing run; ``schedule_lambdas`` gives lam at any
+    time of it."""
 
     schedule: Schedule
     final_overlap: float     # |<marked|psi(T)>|**2
     min_gap_seen: float      # smallest instantaneous gap among the midpoints
     final_norm: float        # should stay 1 to float accuracy
-    lambdas: np.ndarray
 
     def __post_init__(self) -> None:
         if not -1e-12 <= self.final_overlap <= 1.0 + 1e-9:
             raise ValueError(f"overlap {self.final_overlap} outside [0, 1]")
         if not (self.min_gap_seen > 0.0 and math.isfinite(self.final_norm)):
             raise ValueError(f"gap {self.min_gap_seen} not > 0 or norm {self.final_norm} not finite")
-        trace = np.asarray(self.lambdas, dtype=float)
-        trace.setflags(write=False)
-        object.__setattr__(self, "lambdas", trace)
 
 
 def _block_terms(n: int, lam: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,23 +126,17 @@ def gap(instance: GroverInstance, lam: float | np.ndarray) -> float | np.ndarray
     return gaps if gaps.ndim else float(gaps)
 
 
-def min_gap(
-    instance: GroverInstance,
-    *,
-    grid_points: int = 1001,
-    refine_rounds: int = 3,
-) -> tuple[float, float]:
+def min_gap(instance: GroverInstance) -> tuple[float, float]:
     """Numerical minimum of the gap over lam in [0, 1].
 
-    Coarse grid scan followed by zoom refinement around the running argmin;
-    returns ``(gap_min, lam_star)``.
+    A scan of 1001 points, then three zooms of 1001 points each around the
+    running argmin; returns ``(gap_min, lam_star)``.
     """
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
+    grid_points = 1001
     lo, hi = 0.0, 1.0
     best_lam = 0.5
     best_gap = math.inf
-    for _ in range(refine_rounds + 1):
+    for _ in range(4):
         xs = np.linspace(lo, hi, grid_points)
         gs = np.asarray(gap(instance, xs))
         i = int(np.argmin(gs))
@@ -159,13 +148,12 @@ def min_gap(
     return best_gap, best_lam
 
 
-def hamiltonian(
-    instance: GroverInstance, lam: float, max_qubits: int = MAX_DENSE_QUBITS
-) -> np.ndarray:
-    """Dense H(lam) as a real symmetric matrix (guarded by ``max_qubits``)."""
-    if instance.n > max_qubits:
+def hamiltonian(instance: GroverInstance, lam: float) -> np.ndarray:
+    """Dense H(lam) as a real symmetric matrix, for n up to
+    ``program_ir.MAX_DENSE_QUBITS``."""
+    if instance.n > MAX_DENSE_QUBITS:
         raise ValueError(
-            f"n = {instance.n} exceeds the dense limit of {max_qubits} qubits"
+            f"n = {instance.n} exceeds the dense limit of {MAX_DENSE_QUBITS} qubits"
         )
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam = {lam} outside [0, 1]")
@@ -244,26 +232,22 @@ def evolve(instance: GroverInstance, schedule: Schedule) -> EvolutionReport:
     u = np.array([[a - 1j * z, -y - 1j * x], [y - 1j * x, a + 1j * z]])
     c = 2.0 ** (-instance.n / 2.0)
     psi = u @ np.array([c, math.sqrt(1.0 - c * c)])
-    edges = np.linspace(0.0, schedule.total_time, k + 1)
     return EvolutionReport(
         schedule=schedule,
         final_overlap=float(abs(psi[0]) ** 2),
         min_gap_seen=2.0 * min_omega,
         final_norm=float(np.linalg.norm(psi)),
-        lambdas=schedule_lambdas(instance, schedule, edges),
     )
 
 
-def evolve_dense(
-    instance: GroverInstance, schedule: Schedule, max_qubits: int = 8
-) -> EvolutionReport:
+def evolve_dense(instance: GroverInstance, schedule: Schedule) -> EvolutionReport:
     """Same midpoint walk in the full 2**n space; cross-check path.
 
     Exponentials come from eigendecompositions of the dense H(lam), so this
-    is slow and kept to small n.
+    is slow and kept to n <= 8.
     """
-    if instance.n > max_qubits:
-        raise ValueError(f"dense cross-check limited to {max_qubits} qubits")
+    if instance.n > _DENSE_EVOLVE_QUBITS:
+        raise ValueError(f"dense cross-check limited to {_DENSE_EVOLVE_QUBITS} qubits")
     k = schedule.steps
     dt = schedule.total_time / k
     mids = (np.arange(k) + 0.5) * dt
@@ -273,17 +257,15 @@ def evolve_dense(
     marked = int(instance.marked, 2)
     min_seen = math.inf
     for lam in lams:
-        h = hamiltonian(instance, float(lam), max_qubits=max_qubits)
+        h = hamiltonian(instance, float(lam))
         evals, vects = np.linalg.eigh(h)
         psi = vects @ (np.exp(-1j * evals * dt) * (vects.conj().T @ psi))
         min_seen = min(min_seen, float(evals[1] - evals[0]))
-    edges = np.linspace(0.0, schedule.total_time, k + 1)
     return EvolutionReport(
         schedule=schedule,
         final_overlap=float(abs(psi[marked]) ** 2),
         min_gap_seen=min_seen,
         final_norm=float(np.linalg.norm(psi)),
-        lambdas=schedule_lambdas(instance, schedule, edges),
     )
 
 

@@ -36,7 +36,8 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 CZ_MATRIX = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
-#: Hard cap on dense-unitary construction; 2**12 keeps the matrix under 300 MB.
+#: Hard cap on every dense matrix in the package (``program_unitary``,
+#: ``adiabatic.hamiltonian``); 2**12 keeps a complex one under 300 MB.
 MAX_DENSE_QUBITS = 12
 
 
@@ -265,14 +266,14 @@ def _embed_cz(n: int, control: int, target: int) -> np.ndarray:
     return np.diag(diag)
 
 
-def program_unitary(program: Program, max_qubits: int = MAX_DENSE_QUBITS) -> UnitaryDescriptor:
+def program_unitary(program: Program) -> UnitaryDescriptor:
     """Dense unitary of the whole program (qubit 0 = most significant bit).
 
-    Guarded by ``max_qubits`` since the matrix is 4**n complex entries.
+    Guarded by ``MAX_DENSE_QUBITS`` since the matrix is 4**n complex entries.
     """
     n = program.width
-    if n > max_qubits:
-        raise ValueError(f"program touches {n} qubits, dense limit is {max_qubits}")
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"program touches {n} qubits, dense limit is {MAX_DENSE_QUBITS}")
     acc = np.eye(1 << n, dtype=complex)
     for g in program.gates:
         if isinstance(g, RotationGate):

@@ -8,12 +8,12 @@ qubits.
 The module has two layers:
 
 * kernels on bare complex vectors: the in-place ``_apply_in_place`` (a 2x2
-  matrix on one qubit or a 4x4 on two) and ``_flip_cz_quarter``, which
-  ``run_program``, ``measure_and_flip`` and ``global_control`` share, each
-  on one private buffer that becomes the result's ``PureState`` without a
-  copy; and the allocating ``apply_single_qubit``, ``apply_two_qubit`` and
-  ``apply_cz`` behind ``apply_gate``, the gate-by-gate fold the tests use
-  as an independent reference;
+  matrix on one qubit or a 4x4 on two), which ``run_program``,
+  ``measure_and_flip`` and ``global_control`` share, each on one private
+  buffer that becomes the result's ``PureState`` without a copy; and the
+  allocating ``apply_single_qubit``, ``apply_two_qubit`` and ``apply_cz``
+  behind ``apply_gate``, the gate-by-gate fold the tests use as an
+  independent reference;
 * the ``PureState`` API implementing program execution, exact readout
   distributions, multinomial sampling, and the measure-and-flip reset.
 
@@ -24,8 +24,9 @@ one read and one write of the vector, in L2-sized blocks of one
 ``run_program`` fuses each wire's rotations, and a CZ on neighbouring
 qubits with them, into as few such passes as it can (see its docstring).
 A run keeps one state vector and one 256 KiB block alive beside small
-matrices; a non-diagonal monomial matrix adds up to one more vector while
-it moves data.
+matrices; a non-diagonal monomial matrix adds the parts it saves while it
+moves data: half a vector for a one-qubit swap of halves such as X, less
+than one vector for any.
 
 A ``Distribution`` holds its probabilities as one float array in outcome
 order.  Outcome key strings are built only when text is asked for
@@ -42,7 +43,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .program_ir import CZGate, Gate, Program, RotationGate
+from .program_ir import CZ_MATRIX, CZGate, Gate, Program, RotationGate
 
 #: Largest register the dense engine will allocate (2**24 amplitudes = 256 MB).
 MAX_QUBITS = 24
@@ -101,9 +102,10 @@ def _apply_in_place(vec: np.ndarray, n: int, qubits: Sequence[int], matrix: np.n
     only if a later row reads it, and an entry of 1 only moves data, so X
     and SWAP only move data and a diagonal matrix only scales.  A saved
     part is scaled in place, a live part as ``m * part``; the two forms can
-    differ in the last bit, so this order is part of the results.  Up to
-    one vector is alive beside the buffer: a saved half and a product or
-    numpy's copy of a part assigned from another part of the same buffer.
+    differ in the last bit, so this order is part of the results.  A live
+    part is written by a ufunc with ``out=``, whose exact overlap check
+    sees two parts as disjoint, so the saved parts are all that is alive
+    beside the buffer.
 
     Any other matrix is one blocked product (``_apply_dense``); a pair that
     is not adjacent is first brought next to its lower qubit by a SWAP of
@@ -140,12 +142,15 @@ def _move_and_scale(vec: np.ndarray, n: int, qubits: Sequence[int], matrix: np.n
             if m != 1:
                 part *= m
             continue
-        term = saved.pop(c, None)  # row c came first, so part c is saved
-        if term is None:
-            term = parts[c] if m == 1 else m * parts[c]
-        elif m != 1:
-            np.multiply(term, m, out=term)
-        part[...] = term
+        if c in saved:  # row c came first, so part c is saved
+            term = saved.pop(c)
+            if m != 1:
+                np.multiply(term, m, out=term)
+            part[...] = term
+        elif m == 1:
+            np.positive(parts[c], out=part)
+        else:
+            np.multiply(m, parts[c], out=part)
 
 
 def _apply_dense(vec: np.ndarray, n: int, lo: int, matrix: np.ndarray) -> None:
@@ -181,16 +186,6 @@ def _apply_dense(vec: np.ndarray, n: int, lo: int, matrix: np.ndarray) -> None:
             out = tmp[:block.size].reshape(block.shape)
             np.matmul(matrix, block, out=out)
             block[...] = out
-
-
-def _flip_cz_quarter(vec: np.ndarray, n: int, qubit_a: int, qubit_b: int) -> None:
-    """In place: negate the amplitudes where both qubits are 1.
-
-    ``run_program``'s CZ; ``_apply_in_place`` with the CZ matrix would
-    multiply by -1, which gives the same values but other signs of zero.
-    """
-    quarter = _parts(vec, n, (qubit_a, qubit_b))[3]
-    np.negative(quarter, out=quarter)
 
 
 def apply_single_qubit(vec: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> np.ndarray:
@@ -474,7 +469,7 @@ def run_program(program: Program, s_in: str) -> PureState:
             for q in (lo, hi):
                 if q in pending and not _is_diagonal(pending[q]):
                     _apply_in_place(vec, n, (q,), pending.pop(q))
-            _flip_cz_quarter(vec, n, lo, hi)
+            _apply_in_place(vec, n, (lo, hi), CZ_MATRIX)
     for q, matrix in pending.items():
         _apply_in_place(vec, n, (q,), matrix)
     return PureState._adopt(n, vec)

@@ -204,11 +204,13 @@ class TestEvolve:
         assert abs(report.final_norm - 1.0) < 1e-9
 
     def test_lambda_trace_shape(self):
-        schedule = Schedule("local", 10.0, 50)
-        report = evolve(GroverInstance("00"), schedule)
-        assert report.lambdas[0] == pytest.approx(0.0, abs=1e-12)
-        assert report.lambdas[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(report.lambdas) >= -1e-15)
+        for kind in ("linear", "local"):
+            schedule = Schedule(kind, 10.0, 50)
+            edges = np.linspace(0.0, schedule.total_time, schedule.steps + 1)
+            lams = schedule_lambdas(GroverInstance("00"), schedule, edges)
+            assert lams[0] == pytest.approx(0.0, abs=1e-12)
+            assert lams[-1] == pytest.approx(1.0, abs=1e-12)
+            assert np.all(np.diff(lams) >= -1e-15)
 
     def test_min_gap_seen_bounded_below_by_true_minimum(self):
         inst = GroverInstance("0011")
@@ -269,6 +271,17 @@ class TestEvolve:
         assert per_step <= 128
         # the step cap keeps the largest run near 512 MiB
         assert per_step * MAX_STEPS <= 512 * 2**20
+
+    def test_peak_memory_at_step_cap(self):
+        # temporaries are bounded by the step blocks, not the step count
+        schedule = Schedule("linear", 0.05 * MAX_STEPS, MAX_STEPS)
+        tracemalloc.start()
+        try:
+            evolve(GroverInstance("0" * 12), schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     def test_local_schedule_matches_quadrature(self):
         # lam(f) inverts the arrival time f(lam) = int_0^lam dx / gap(x)**2,
@@ -370,7 +383,6 @@ class TestReport:
                 final_overlap=1.5,
                 min_gap_seen=0.5,
                 final_norm=1.0,
-                lambdas=np.linspace(0, 1, 11),
             )
 
     def test_gap_positivity_enforced(self):
@@ -380,7 +392,6 @@ class TestReport:
                 final_overlap=0.5,
                 min_gap_seen=0.0,
                 final_norm=1.0,
-                lambdas=np.linspace(0, 1, 11),
             )
 
     @pytest.mark.parametrize(
@@ -394,7 +405,6 @@ class TestReport:
             final_overlap=0.5,
             min_gap_seen=0.5,
             final_norm=1.0,
-            lambdas=np.linspace(0, 1, 11),
         )
         fields[field] = bad
         with pytest.raises(ValueError):

@@ -474,6 +474,19 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert peak <= 2 * (1 << self.LENGTH) * 16 + (1 << 19)
 
+    def test_x_pulse_peak_is_one_and_a_half_state_vectors(self, chains):
+        # X saves one half and writes the other half from it in place
+        # (a ufunc with ``out=``, which needs no copy of its source)
+        operation = self.OPERATIONS["X pulse"]
+        operation(*chains)
+        tracemalloc.start()
+        try:
+            operation(*chains)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (1 << self.LENGTH) * 16 + (1 << 19)
+
 
 class TestScripts:
     def test_script_round_trip(self):
