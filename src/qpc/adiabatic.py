@@ -127,25 +127,12 @@ def gap(instance: GroverInstance, lam: float | np.ndarray) -> float | np.ndarray
 
 
 def min_gap(instance: GroverInstance) -> tuple[float, float]:
-    """Numerical minimum of the gap over lam in [0, 1].
+    """Minimum of the gap over lam in [0, 1], as ``(gap_min, lam_star)``.
 
-    A scan of 1001 points, then three zooms of 1001 points each around the
-    running argmin; returns ``(gap_min, lam_star)``.
+    gap(lam)^2 = 1 - 4 (1 - 1/N) lam (1 - lam) is smallest at lam = 1/2,
+    where the gap is 1/sqrt(N) (Roland & Cerf, PRA 65, 042308 (2002)).
     """
-    grid_points = 1001
-    lo, hi = 0.0, 1.0
-    best_lam = 0.5
-    best_gap = math.inf
-    for _ in range(4):
-        xs = np.linspace(lo, hi, grid_points)
-        gs = np.asarray(gap(instance, xs))
-        i = int(np.argmin(gs))
-        if gs[i] < best_gap:
-            best_gap = float(gs[i])
-            best_lam = float(xs[i])
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, grid_points - 1)]
-    return best_gap, best_lam
+    return gap(instance, 0.5), 0.5
 
 
 def hamiltonian(instance: GroverInstance, lam: float) -> np.ndarray:

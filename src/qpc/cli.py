@@ -34,11 +34,12 @@ def _load_program(path: str) -> Program:
 def _parse_readout(text: Optional[str], width: int) -> statevec.ReadoutSpec:
     if text is None:
         return statevec.ReadoutSpec(tuple(range(width)))
-    try:
-        qubits = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"readout {text!r} must be comma-separated integers") from None
-    return statevec.ReadoutSpec(qubits)
+    # Each field is [0-9]+ in ASCII, as in .qprog gate fields: int() would
+    # also take a sign, "_" separators and non-ASCII digits.
+    fields = text.split(",")
+    if not all(f.isascii() and f.isdigit() for f in fields):
+        raise ValueError(f"readout {text!r} must be comma-separated decimal integers")
+    return statevec.ReadoutSpec(tuple(map(int, fields)))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -20,17 +20,19 @@ edge between the two wire frontiers.  Every rotation therefore adds exactly
 four vertices, so a compiled pattern has ``wires + 4 * rotations`` vertices.
 
 Simulation runs on one batched engine (``_run_batch``): a batch of
-branches, each a state over the active vertices plus its outcome record.
+branches, each a state over the active vertices plus its Pauli frame, the
+parities of earlier outcomes over every domain that later angles and
+corrections read (Danos, Kashefi & Panangaden, J. ACM 54 (2007)).
 Vertices are activated only when first touched (valid because CZ edges
 commute with everything acting on other vertices).  The policies differ only
 in how each measurement outcome is chosen:
 
 * ``"enumerate-all"`` -- exact mixture over all measurement branches.  Every
-  branch is split on every outcome; outcome bits that nothing references
-  again are forgotten, and branches with equal records and equal states are
-  merged.  Merging does not make it polynomial: the live branch count of a
-  compiled pattern grows about as 4^wires (64 at 2 wires; thousands to tens
-  of thousands at 5 and 6 wires).
+  branch is split on every outcome, and branches whose frames agree on the
+  bits still to be read and whose states agree are merged.  Merging does not
+  make it polynomial: on random 40-gate compiled programs the live branch
+  count peaks at 4^wires (16 at 2 wires, 1024 at 5, 4096 at 6): one branch
+  per X/Z byproduct that the frames still carry on the wires.
 * ``"seeded-random"`` -- one branch, outcomes drawn from a seeded generator.
 * ``branch_determinism_check`` runs forced outcome assignments, one per row.
 
@@ -323,26 +325,6 @@ def _check_run(pattern: MeasurementPattern, s_in: str, readout: ReadoutSpec) -> 
         )
 
 
-def _parity_code(
-    col: dict[int, int], domains: list[frozenset[int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Record columns and bit values whose XOR, over a record row, has bit
-    ``j`` set to the outcome parity of ``domains[j]`` (see ``_eval_code``)."""
-    bits: dict[int, int] = {}
-    for j, domain in enumerate(domains):
-        for v in domain:
-            bits[col[v]] = bits.get(col[v], 0) ^ (1 << j)
-    return (
-        np.fromiter(bits.keys(), dtype=np.intp, count=len(bits)),
-        np.fromiter(bits.values(), dtype=np.int64, count=len(bits)),
-    )
-
-
-def _eval_code(records: np.ndarray, code: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    cols, bits = code
-    return np.bitwise_xor.reduce(records[:, cols] * bits, axis=1)
-
-
 #: A register operation.  An int activates a vertex as the new last axis, in
 #: the basis state of that input index, or in |+> for -1; a ``(shape, index)``
 #: pair applies a CZ by negating ``vecs.reshape((B,) + shape)[index]``.
@@ -355,8 +337,16 @@ class _Plan:
     Vertices are activated when first touched, which is valid because CZ
     edges commute with everything acting on other vertices.  Activation
     order and axis positions are therefore structural, and one plan serves
-    every branch, input and policy.  Column ``c`` of an outcome record holds
-    the outcome of step ``c``.
+    every branch, input and policy.
+
+    A branch's Pauli frame holds one bit per domain: columns ``2j`` and
+    ``2j + 1`` are the s and t parities of step ``j``, and columns
+    ``2k + 2q`` and ``2k + 2q + 1`` the X and Z parities of output ``q``
+    (``k`` steps).  Outcome 1 of step ``i`` flips the columns ``flips[i]``,
+    those whose domain contains the step's vertex: row ``i`` of the flip
+    matrix, stored sparse because each vertex sits in only a few domains.
+    ``live[i]`` lists the columns that steps up to ``i`` can have flipped
+    and that a later step or an output correction reads.
 
     A step is *fused* when the measured vertex has a neighbour that is not
     active yet and not an input: that neighbour's |+> preparation and their
@@ -366,13 +356,23 @@ class _Plan:
 
     def __init__(self, pattern: MeasurementPattern) -> None:
         steps = pattern.steps
-        self.col = {st.vertex: i for i, st in enumerate(steps)}
-        # Per step: s + 2t as a parity code, and exp(-i theta) of the device
-        # angle theta = (-1)^s angle + pi t for each value of s + 2t.
-        self.codes = [_parity_code(self.col, [st.s_domain, st.t_domain]) for st in steps]
+        domains = [d for st in steps for d in (st.s_domain, st.t_domain)]
+        domains += [d for xz in zip(pattern.x_corrections, pattern.z_corrections) for d in xz]
+        row = {st.vertex: i for i, st in enumerate(steps)}
+        flips: list[list[int]] = [[] for _ in steps]
+        for c, domain in enumerate(domains):
+            for v in domain:
+                flips[row[v]].append(c)
+        self.flips = [np.array(cols, dtype=np.intp) for cols in flips]
+        self.live = []
+        live: set[int] = set()
+        for i, cols in enumerate(flips):
+            # column c is read by step c // 2, or by an output when c // 2 >= k
+            live = {c for c in live.union(cols) if c // 2 > i}
+            self.live.append(np.array(sorted(live), dtype=np.intp))
+        # exp(-i theta) of the device angle theta = (-1)^s angle + pi t, per s + 2t
         e = np.exp(-1j * np.array([st.angle for st in steps]))
         self.phases = np.stack((e, e.conj(), -e, -e.conj()), axis=1)
-        self.live = _live_columns(pattern, self.col)
         input_index = {v: j for j, v in enumerate(pattern.inputs)}
         active: list[int] = []
         pending = set(pattern.edges)
@@ -433,24 +433,6 @@ class _Plan:
         self.out_axis = [active.index(v) for v in pattern.outputs]
 
 
-def _live_columns(pattern: MeasurementPattern, col: dict[int, int]) -> list[np.ndarray]:
-    """Per step, the record columns that something references after it."""
-    k = len(pattern.steps)
-    last = list(range(k))
-    for i, st in enumerate(pattern.steps):
-        for v in st.s_domain | st.t_domain:
-            last[col[v]] = i
-    for corr in (*pattern.x_corrections, *pattern.z_corrections):
-        for v in corr:
-            last[col[v]] = k
-    live: list[int] = []
-    out = []
-    for i in range(k):
-        live = [c for c in (*live, i) if last[c] > i]
-        out.append(np.array(live, dtype=np.intp))
-    return out
-
-
 def _apply(vecs: np.ndarray, ops: list[_Op], local: list[np.ndarray]) -> np.ndarray:
     """Run register operations on a ``(B, 2^a)`` batch; ``local[j]`` is the
     one-qubit state an activation with index ``j`` appends."""
@@ -500,7 +482,7 @@ def _merge(
 
 
 #: Outcome policy of the batch engine: ``draw(p0, column)`` gets each row's
-#: probability of outcome 0 and the record column of the step, and returns
+#: probability of outcome 0 and the step's column of ``records``, and returns
 #: one outcome per row, or None to split every row into both outcomes.
 _Draw = Callable[[np.ndarray, np.ndarray], Optional[np.ndarray]]
 
@@ -537,18 +519,19 @@ def _run_batch(
     """Run the pattern on a batch of branches; the engine behind every policy.
 
     Row b of the batch is one branch: its state over the active vertices
-    (``vecs[b]``, shape ``(B, 2^a)``), its weight, and its outcome record
-    ``records[b]``, a bit row with column ``c`` holding the outcome of step
-    ``c``.  Device angles are parities over record columns, and both
-    projections are taken for all rows at once.  ``draw`` picks outcomes:
+    (``vecs[b]``, shape ``(B, 2^a)``), its weight, and its Pauli frame
+    ``frames[b]`` (see ``_Plan``).  Device angles read the step's s and t
+    frame bits, and both projections are taken for all rows at once.
+    ``draw`` picks outcomes:
 
     * a split (``_split``) keeps both outcomes of every row and drops rows
-      below ``_DROP_TOL``; rows whose live record bits (those still
-      referenced later) agree and whose states agree up to phase are then
-      merged, and more than ``branch_limit`` rows raise BranchLimitError;
-    * a chosen outcome per row (``_read_column`` reads the pre-filled
-      record, ``_seeded`` draws) drops rows whose outcome has probability
-      below ``_FORCE_TOL``, as unreachable.
+      below ``_DROP_TOL``; rows whose live frame bits agree and whose states
+      agree up to phase are then merged, and more than ``branch_limit`` rows
+      raise BranchLimitError;
+    * a chosen outcome per row (``_read_column`` reads row b's outcome from
+      ``records[b]``, column ``c`` for step ``c``; ``_seeded`` draws) drops
+      rows whose outcome has probability below ``_FORCE_TOL``, as
+      unreachable.
 
     Fused steps (see ``_Plan``) have probability 1/2 for either outcome and
     never drop a row.
@@ -559,14 +542,14 @@ def _run_batch(
     _check_run(pattern, s_in, readout)
     plan = pattern._plan
     local = [_BASIS[int(ch)] for ch in s_in] + [_PLUS]
-    records = records.astype(np.uint8)
+    frames = np.zeros((len(records), 2 * len(pattern.steps) + 2 * pattern.wires), dtype=bool)
     vecs = np.ones((len(records), 1), dtype=complex)
     weights = np.ones(len(records))
     for idx in range(len(pattern.steps)):
         vecs = _apply(vecs, plan.prepare[idx], local)
         b = len(vecs)
         psi = vecs.reshape(b, 1 << plan.axis[idx], 2, -1)
-        phase = plan.phases[idx][_eval_code(records, plan.codes[idx])]
+        phase = plan.phases[idx][frames[:, 2 * idx] + 2 * frames[:, 2 * idx + 1]]
         # proj[0] / proj[1]: projections onto |+_theta> / |-_theta>
         proj = (psi[:, :, 0] + _SIGNS * (phase[:, None, None] * psi[:, :, 1])) / _SQRT2
         if plan.fused[idx]:
@@ -587,26 +570,27 @@ def _run_batch(
         if outcome is None:
             vecs, p = post.reshape(2 * b, -1), p.reshape(-1)
             weights = np.concatenate((weights, weights))
-            records = np.concatenate((records, records))
-            records[:b, idx] = 0
-            records[b:, idx] = 1
+            frames = np.concatenate((frames, frames))
+            frames[b:, plan.flips[idx]] ^= True
             tol = _DROP_TOL
         else:
             one = outcome.astype(bool)
             vecs, p = np.where(one[:, None], post[1], post[0]), np.where(one, p[1], p[0])
-            records[:, idx] = outcome
+            frames[:, plan.flips[idx]] ^= one[:, None]
             tol = _FORCE_TOL
         if not plan.fused[idx]:
             keep = p >= tol
             if not keep.all():
-                vecs, p, weights, records = vecs[keep], p[keep], weights[keep], records[keep]
+                vecs, p, weights, frames = vecs[keep], p[keep], weights[keep], frames[keep]
+                if outcome is not None:
+                    records = records[keep]
                 if not len(p):  # every forced assignment was unreachable
                     return weights, np.zeros((0, 1 << len(readout.qubits)))
             vecs = vecs / np.sqrt(p)[:, None]
         weights = weights * p
         if outcome is None:
-            vecs, weights, kept = _merge(vecs, weights, records[:, plan.live[idx]])
-            records = records[kept]
+            vecs, weights, kept = _merge(vecs, weights, frames[:, plan.live[idx]])
+            frames = frames[kept]
             if len(weights) > branch_limit:
                 raise BranchLimitError(
                     f"{len(weights)} branches exceed the limit of {branch_limit}"
@@ -616,8 +600,8 @@ def _run_batch(
     marg = marginal_probabilities(vecs.real**2 + vecs.imag**2, len(plan.out_axis), axes)
     # X corrections flip readout bits (bit m-1-j for readout position j);
     # Z corrections are diagonal and leave readout probabilities unchanged.
-    flips = [pattern.x_corrections[q] for q in reversed(readout.qubits)]
-    mask = _eval_code(records, _parity_code(plan.col, flips))
+    x_cols = 2 * len(pattern.steps) + 2 * np.array(readout.qubits[::-1])
+    mask = frames[:, x_cols] @ (1 << np.arange(len(readout.qubits)))
     outcomes = np.arange(marg.shape[1])
     return weights, np.take_along_axis(marg, outcomes ^ mask[:, None], axis=1)
 
@@ -635,11 +619,11 @@ def simulate_pattern(
 
     ``"enumerate-all"`` returns the exact mixture over measurement branches.
     It splits every branch at every measurement, drops branches of
-    probability below ``_DROP_TOL``, forgets outcome bits nothing references
-    any more, and merges branches whose records and states then agree.  Even
-    so the live branch count of a compiled pattern grows about as 4^wires
-    (64 at 2 wires; thousands to tens of thousands at 5 and 6 wires), and
-    more than ``branch_limit`` live branches raise BranchLimitError.
+    probability below ``_DROP_TOL``, and merges branches whose states agree
+    and whose Pauli frames agree on every bit a later step or the output
+    still reads.  Even so the live branch count of a compiled pattern peaks
+    at about 4^wires (4096 at 6 wires on random 40-gate programs), and more
+    than ``branch_limit`` live branches raise BranchLimitError.
     ``"seeded-random"`` follows one branch drawn from ``seed``, at the cost
     of a single run; it equals the mixture whenever the pattern is
     deterministic, which compiled patterns are (see
@@ -683,12 +667,14 @@ def branch_determinism_check(
     patterns get the exhaustive check.  ``"exhaustive"`` simulates all 2^k
     forced outcome assignments of the k measured vertices, refusing above
     ``exhaustive_limit`` (also when ``"auto"`` falls back to it);
-    ``"sampled"`` simulates ``samples`` seeded random assignments.  Forced
+    ``"sampled"`` simulates ``samples`` (at least 1) seeded random assignments.  Forced
     branches of probability ~0 are unreachable and skipped; the others must
     agree with the first within total variation distance ``tol``.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"samples = {samples} must be at least 1")
     if readout is None:
         readout = ReadoutSpec(tuple(range(pattern.wires)))
     _check_run(pattern, s_in, readout)

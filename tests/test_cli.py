@@ -69,6 +69,12 @@ class TestRun:
         assert run_cli(["run", "--program", str(path), "--exact"]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("readout", ["1_0", "+1", " 1", "\u0661"])
+    def test_readout_fields_are_ascii_digits(self, bell_file, capsys, readout):
+        code = run_cli(["run", "--program", bell_file, "--exact", "--readout", readout])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: readout {readout!r} must be")
+
 
 class TestSize:
     def test_census(self, bell_file, capsys):

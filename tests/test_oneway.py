@@ -399,6 +399,40 @@ class TestSimulation:
         with pytest.raises(BranchLimitError):
             simulate_pattern(pattern, "0", branch_limit=1)
 
+    def test_domain_mutants_match_naive_dense_reference(self):
+        """Mutated domains set frame bits that no compiled pattern sets;
+        enumeration must still give the exact mixture, for full, subset
+        and permuted readouts."""
+        cases = [
+            ("R 0 3 5 7 4", 1),
+            ("R 0 5 1 2 3\nCZ 0 1", 1),
+            ("CZ 0 1\nR 1 5 3 1 3\nCZ 1 2", 2),
+            ("R 0 1 2 3 3\nCZ 0 1\nR 1 3 1 0 2", 5),
+        ]
+        for text, stride in cases:
+            pattern = compile_to_pattern(parse_program(text))
+            width = pattern.wires
+            s_in = ("10" * width)[:width]
+            readouts = [tuple(range(width)), (width - 1,), tuple(range(width))[::-1]]
+            for i, mutant in enumerate(list(single_domain_mutants(pattern))[::stride]):
+                readout = ReadoutSpec(readouts[i % 3])
+                fast = simulate_pattern(mutant, s_in, readout)
+                slow = naive_pattern_distribution(mutant, s_in, readout)
+                assert total_variation_distance(fast, slow) < 1e-10
+
+    @pytest.mark.parametrize("wires, limit", [(4, 8192), (5, 32768), (6, 32768)])
+    def test_compiled_branch_peak(self, wires, limit):
+        """Counted, not timed: each limit is half the peak that merging on
+        outcome records reached on the same program (16384 / 65536 / 65536
+        rows); frames need 4^wires rows here."""
+        program = random_program(np.random.default_rng(0), wires, 40)
+        pattern = compile_to_pattern(program)
+        s_in = "0" * wires
+        readout = ReadoutSpec(tuple(range(wires)))
+        dist = simulate_pattern(pattern, s_in, readout, branch_limit=limit)
+        exact = exact_distribution(program, s_in, readout)
+        assert total_variation_distance(dist, exact) < 1e-12
+
 
 class TestDeterminism:
     def test_compiled_patterns_are_deterministic(self):
@@ -429,6 +463,12 @@ class TestDeterminism:
         pattern = compile_to_pattern(program)
         assert branch_determinism_check(pattern, "00", mode="exhaustive")
         assert branch_determinism_check(pattern, "00", mode="sampled", samples=16)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_mode_rejects_non_positive_samples(self, samples):
+        pattern = compile_to_pattern(parse_program("R 0 3 1 2 3"))
+        with pytest.raises(ValueError, match=f"samples = {samples} "):
+            branch_determinism_check(pattern, "0", mode="sampled", samples=samples)
 
     @settings(max_examples=40, deadline=None)
     @given(program=small_programs(), data=st.data())
