@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .program_ir import MAX_DENSE_QUBITS
+from .program_ir import MAX_DENSE_QUBITS, _check_integer
 
 #: Largest search instance accepted (desk-scale bound).
 MAX_QUBITS = 14
@@ -80,8 +80,7 @@ class Schedule:
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
         _check_total_time(self.total_time)
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
+        _check_integer(self.steps, "steps")
         if not 10 <= self.steps <= MAX_STEPS:
             raise ValueError(f"steps = {self.steps} outside [10, {MAX_STEPS}]")
 

@@ -20,19 +20,20 @@ edge between the two wire frontiers.  Every rotation therefore adds exactly
 four vertices, so a compiled pattern has ``wires + 4 * rotations`` vertices.
 
 Simulation runs on one batched engine (``_run_batch``): a batch of
-branches, each a state over the active vertices plus its Pauli frame, the
-parities of earlier outcomes over every domain that later angles and
-corrections read (Danos, Kashefi & Panangaden, J. ACM 54 (2007)).
+branches, each a state over the active vertices and a weight.  Every step is
+measured at its base angle, and outcome 1 applies the step's byproducts to
+the branch state at once (signal shifting; Danos, Kashefi & Panangaden,
+J. ACM 54 (2007)), which is exact because ``<+-_theta| = <+-_a| X^s Z^t``
+up to a phase for the device angle ``theta`` of base angle ``a``.
 Vertices are activated only when first touched (valid because CZ edges
 commute with everything acting on other vertices).  The policies differ only
 in how each measurement outcome is chosen:
 
 * ``"enumerate-all"`` -- exact mixture over all measurement branches.  Every
-  branch is split on every outcome, and branches whose frames agree on the
-  bits still to be read and whose states agree are merged.  Merging does not
-  make it polynomial: on random 40-gate compiled programs the live branch
-  count peaks at 4^wires (16 at 2 wires, 1024 at 5, 4096 at 6): one branch
-  per X/Z byproduct that the frames still carry on the wires.
+  branch is split on every outcome, and branches whose states agree up to
+  phase are merged.  On a compiled pattern the byproducts of each outcome
+  undo its effect on the state, so both halves of a split merge again and
+  one branch stays live at every wire count.
 * ``"seeded-random"`` -- one branch, outcomes drawn from a seeded generator.
 * ``branch_determinism_check`` runs forced outcome assignments, one per row.
 
@@ -54,7 +55,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .program_ir import CZGate, Program, RotationGate
+from .program_ir import CZGate, Program, RotationGate, _check_integer
 from .statevec import (
     Distribution,
     ReadoutSpec,
@@ -339,14 +340,16 @@ class _Plan:
     order and axis positions are therefore structural, and one plan serves
     every branch, input and policy.
 
-    A branch's Pauli frame holds one bit per domain: columns ``2j`` and
-    ``2j + 1`` are the s and t parities of step ``j``, and columns
-    ``2k + 2q`` and ``2k + 2q + 1`` the X and Z parities of output ``q``
-    (``k`` steps).  Outcome 1 of step ``i`` flips the columns ``flips[i]``,
-    those whose domain contains the step's vertex: row ``i`` of the flip
-    matrix, stored sparse because each vertex sits in only a few domains.
-    ``live[i]`` lists the columns that steps up to ``i`` can have flipped
-    and that a later step or an output correction reads.
+    Outcome 1 of step ``i`` applies X to every vertex whose s domain or X
+    correction holds the measured vertex, and Z to every vertex whose t
+    domain or Z correction does.  These act on the state after every CZ, so
+    an X on ``w`` also brings a Z on each ``k`` whose edge ``(w, k)`` is
+    still pending (``CZ X_w = X_w Z_k CZ``).  An X on an inactive |+>
+    vertex and a Z on an inactive input change only a branch's phase and
+    are dropped; a Z on an inactive |+> vertex or an X on an inactive input
+    activates that vertex in the step's preparation.  ``xmask[i]`` and
+    ``zmask[i]`` are the resulting X and Z targets as bit masks over the
+    register after the step.
 
     A step is *fused* when the measured vertex has a neighbour that is not
     active yet and not an input: that neighbour's |+> preparation and their
@@ -356,23 +359,17 @@ class _Plan:
 
     def __init__(self, pattern: MeasurementPattern) -> None:
         steps = pattern.steps
-        domains = [d for st in steps for d in (st.s_domain, st.t_domain)]
-        domains += [d for xz in zip(pattern.x_corrections, pattern.z_corrections) for d in xz]
-        row = {st.vertex: i for i, st in enumerate(steps)}
-        flips: list[list[int]] = [[] for _ in steps]
-        for c, domain in enumerate(domains):
-            for v in domain:
-                flips[row[v]].append(c)
-        self.flips = [np.array(cols, dtype=np.intp) for cols in flips]
-        self.live = []
-        live: set[int] = set()
-        for i, cols in enumerate(flips):
-            # column c is read by step c // 2, or by an output when c // 2 >= k
-            live = {c for c in live.union(cols) if c // 2 > i}
-            self.live.append(np.array(sorted(live), dtype=np.intp))
-        # exp(-i theta) of the device angle theta = (-1)^s angle + pi t, per s + 2t
-        e = np.exp(-1j * np.array([st.angle for st in steps]))
-        self.phases = np.stack((e, e.conj(), -e, -e.conj()), axis=1)
+        # exp(-i a) of each step's base angle a
+        self.phases = np.exp(-1j * np.array([st.angle for st in steps]))
+        # x_on[m] / z_on[m]: the vertices whose X / Z domain holds vertex m
+        x_on: dict[int, list[int]] = {}
+        z_on: dict[int, list[int]] = {}
+        owners = [(st.vertex, st.s_domain, st.t_domain) for st in steps]
+        owners += zip(pattern.outputs, pattern.x_corrections, pattern.z_corrections)
+        for w, s_set, t_set in owners:
+            for on, domain in ((x_on, s_set), (z_on, t_set)):
+                for m in domain:
+                    on.setdefault(m, []).append(w)
         input_index = {v: j for j, v in enumerate(pattern.inputs)}
         active: list[int] = []
         pending = set(pattern.edges)
@@ -417,16 +414,30 @@ class _Plan:
         self.prepare: list[list[_Op]] = []
         self.axis: list[int] = []
         self.fused: list[bool] = []
+        self.xmask: list[int] = []
+        self.zmask: list[int] = []
         for st in steps:
             fresh = fresh_neighbour(st.vertex)
             ops: list[_Op] = []
             touch(st.vertex, ops)
+            xs, zs = set(x_on.get(st.vertex, ())), set(z_on.get(st.vertex, ()))
+            for w in xs:  # an X passes the CZs still to come as a Z on the far end
+                zs ^= {e[1] if e[0] == w else e[0] for e in by_vertex.get(w, ()) if e in pending}
+            for targets, needs_input in ((xs, True), (zs, False)):
+                for w in sorted(targets - set(active) - {fresh}):
+                    if (w in input_index) == needs_input:
+                        activate(w, ops)
+                    else:
+                        targets.discard(w)
             self.prepare.append(ops)
             self.axis.append(active.index(st.vertex))
             active.remove(st.vertex)
             if fresh is not None:
                 active.append(fresh)
             self.fused.append(fresh is not None)
+            top = len(active) - 1
+            self.xmask.append(sum(1 << (top - active.index(w)) for w in xs))
+            self.zmask.append(sum(1 << (top - active.index(w)) for w in zs))
         self.finish: list[_Op] = []
         for v in pattern.outputs:
             touch(v, self.finish)
@@ -445,40 +456,26 @@ def _apply(vecs: np.ndarray, ops: list[_Op], local: list[np.ndarray]) -> np.ndar
     return vecs
 
 
-def _merge(
-    vecs: np.ndarray, weights: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse rows with equal ``keys`` rows whose states agree up to phase.
+def _merge(vecs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse rows whose states agree up to phase.
 
-    Returns the kept rows' states, their summed weights and their indices.
-    Each round compares every unmatched row with the first unmatched row of
-    its key group, which gives the same result as a greedy first-match
-    merge.  Merging is only an optimization: a missed merge keeps extra
-    branches but never changes the mixture, so the overlap tolerance is
-    kept tight.
+    Returns the kept rows' states and their summed weights.  Each round
+    compares every unmatched row with the first unmatched row, which gives
+    the same result as a greedy first-match merge.  Merging is only an
+    optimization: a missed merge keeps extra branches but never changes the
+    mixture, so the overlap tolerance is kept tight.
     """
     n = len(weights)
-    if keys.shape[1]:
-        _, group = np.unique(np.packbits(keys, axis=1), axis=0, return_inverse=True)
-        group = group.reshape(-1)
-    else:
-        group = np.zeros(n, dtype=np.intp)
     owner = np.empty(n, dtype=np.intp)
-    rep_of = np.empty(n, dtype=np.intp)
     pending = np.arange(n)
     while pending.size:
-        g = group[pending]
-        _, first = np.unique(g, return_index=True)
-        rep_of[g[first]] = pending[first]
-        rep = rep_of[g]
-        overlap = np.abs(np.einsum("ij,ij->i", vecs[rep].conj(), vecs[pending]))
-        hit = overlap >= 1.0 - _MERGE_TOL
-        hit[first] = True
-        owner[pending[hit]] = rep[hit]
+        rep = pending[0]
+        hit = np.abs(vecs[pending] @ vecs[rep].conj()) >= 1.0 - _MERGE_TOL
+        hit[0] = True
+        owner[pending[hit]] = rep
         pending = pending[~hit]
     kept = np.flatnonzero(owner == np.arange(n))
-    merged = np.bincount(owner, weights=weights, minlength=n)[kept]
-    return vecs[kept], merged, kept
+    return vecs[kept], np.bincount(owner, weights=weights, minlength=n)[kept]
 
 
 #: Outcome policy of the batch engine: ``draw(p0, column)`` gets each row's
@@ -519,15 +516,14 @@ def _run_batch(
     """Run the pattern on a batch of branches; the engine behind every policy.
 
     Row b of the batch is one branch: its state over the active vertices
-    (``vecs[b]``, shape ``(B, 2^a)``), its weight, and its Pauli frame
-    ``frames[b]`` (see ``_Plan``).  Device angles read the step's s and t
-    frame bits, and both projections are taken for all rows at once.
-    ``draw`` picks outcomes:
+    (``vecs[b]``, shape ``(B, 2^a)``) and its weight.  Each step is
+    measured at its base angle, both projections are taken for all rows at
+    once, and the outcome-1 projections get the step's byproducts (see
+    ``_Plan``).  ``draw`` picks outcomes:
 
     * a split (``_split``) keeps both outcomes of every row and drops rows
-      below ``_DROP_TOL``; rows whose live frame bits agree and whose states
-      agree up to phase are then merged, and more than ``branch_limit`` rows
-      raise BranchLimitError;
+      below ``_DROP_TOL``; rows whose states agree up to phase are then
+      merged, and more than ``branch_limit`` rows raise BranchLimitError;
     * a chosen outcome per row (``_read_column`` reads row b's outcome from
       ``records[b]``, column ``c`` for step ``c``; ``_seeded`` draws) drops
       rows whose outcome has probability below ``_FORCE_TOL``, as
@@ -536,22 +532,20 @@ def _run_batch(
     Fused steps (see ``_Plan``) have probability 1/2 for either outcome and
     never drop a row.
 
-    Returns the rows' weights, shape ``(B,)``, and their X-corrected readout
+    Returns the rows' weights, shape ``(B,)``, and their corrected readout
     marginals, shape ``(B, 2^m)``.
     """
     _check_run(pattern, s_in, readout)
     plan = pattern._plan
     local = [_BASIS[int(ch)] for ch in s_in] + [_PLUS]
-    frames = np.zeros((len(records), 2 * len(pattern.steps) + 2 * pattern.wires), dtype=bool)
     vecs = np.ones((len(records), 1), dtype=complex)
     weights = np.ones(len(records))
     for idx in range(len(pattern.steps)):
         vecs = _apply(vecs, plan.prepare[idx], local)
         b = len(vecs)
         psi = vecs.reshape(b, 1 << plan.axis[idx], 2, -1)
-        phase = plan.phases[idx][frames[:, 2 * idx] + 2 * frames[:, 2 * idx + 1]]
-        # proj[0] / proj[1]: projections onto |+_theta> / |-_theta>
-        proj = (psi[:, :, 0] + _SIGNS * (phase[:, None, None] * psi[:, :, 1])) / _SQRT2
+        # proj[0] / proj[1]: projections onto |+_a> / |-_a> at the base angle a
+        proj = (psi[:, :, 0] + _SIGNS * (plan.phases[idx] * psi[:, :, 1])) / _SQRT2
         if plan.fused[idx]:
             # A fresh |+> neighbour w of the measured vertex enters as the
             # new last axis with their CZ folded in: outcome o leaves
@@ -566,22 +560,26 @@ def _run_batch(
             post = proj.reshape(2, b, -1)
             flat = post.view(np.float64)
             p = np.einsum("oij,oij->oi", flat, flat)
+        x, z = plan.xmask[idx], plan.zmask[idx]
+        if x or z:  # outcome 1's byproducts: X as a gather, Z as a sign vector
+            index = np.arange(post.shape[2])
+            parity = index & z
+            for shift in (16, 8, 4, 2, 1):  # parity of up to 32 bits (MAX_ACTIVE)
+                parity ^= parity >> shift
+            post[1] = post[1][:, index ^ x] * (1.0 - 2.0 * (parity & 1))
         outcome = draw(p[0], records[:, idx])
         if outcome is None:
             vecs, p = post.reshape(2 * b, -1), p.reshape(-1)
             weights = np.concatenate((weights, weights))
-            frames = np.concatenate((frames, frames))
-            frames[b:, plan.flips[idx]] ^= True
             tol = _DROP_TOL
         else:
             one = outcome.astype(bool)
             vecs, p = np.where(one[:, None], post[1], post[0]), np.where(one, p[1], p[0])
-            frames[:, plan.flips[idx]] ^= one[:, None]
             tol = _FORCE_TOL
         if not plan.fused[idx]:
             keep = p >= tol
             if not keep.all():
-                vecs, p, weights, frames = vecs[keep], p[keep], weights[keep], frames[keep]
+                vecs, p, weights = vecs[keep], p[keep], weights[keep]
                 if outcome is not None:
                     records = records[keep]
                 if not len(p):  # every forced assignment was unreachable
@@ -589,21 +587,14 @@ def _run_batch(
             vecs = vecs / np.sqrt(p)[:, None]
         weights = weights * p
         if outcome is None:
-            vecs, weights, kept = _merge(vecs, weights, frames[:, plan.live[idx]])
-            frames = frames[kept]
+            vecs, weights = _merge(vecs, weights)
             if len(weights) > branch_limit:
                 raise BranchLimitError(
                     f"{len(weights)} branches exceed the limit of {branch_limit}"
                 )
     vecs = _apply(vecs, plan.finish, local)
     axes = tuple(plan.out_axis[q] for q in readout.qubits)
-    marg = marginal_probabilities(vecs.real**2 + vecs.imag**2, len(plan.out_axis), axes)
-    # X corrections flip readout bits (bit m-1-j for readout position j);
-    # Z corrections are diagonal and leave readout probabilities unchanged.
-    x_cols = 2 * len(pattern.steps) + 2 * np.array(readout.qubits[::-1])
-    mask = frames[:, x_cols] @ (1 << np.arange(len(readout.qubits)))
-    outcomes = np.arange(marg.shape[1])
-    return weights, np.take_along_axis(marg, outcomes ^ mask[:, None], axis=1)
+    return weights, marginal_probabilities(vecs.real**2 + vecs.imag**2, len(plan.out_axis), axes)
 
 
 def simulate_pattern(
@@ -618,18 +609,20 @@ def simulate_pattern(
     """Readout distribution of a pattern run on basis input ``s_in``.
 
     ``"enumerate-all"`` returns the exact mixture over measurement branches.
-    It splits every branch at every measurement, drops branches of
-    probability below ``_DROP_TOL``, and merges branches whose states agree
-    and whose Pauli frames agree on every bit a later step or the output
-    still reads.  Even so the live branch count of a compiled pattern peaks
-    at about 4^wires (4096 at 6 wires on random 40-gate programs), and more
-    than ``branch_limit`` live branches raise BranchLimitError.
+    It splits every branch at every measurement, applies each outcome's
+    byproducts to its branch state, drops branches of probability below
+    ``_DROP_TOL``, and merges branches whose states agree up to phase.  A
+    compiled pattern keeps one live branch; more than ``branch_limit`` (an
+    integer, at least 1) live branches raise BranchLimitError.
     ``"seeded-random"`` follows one branch drawn from ``seed``, at the cost
     of a single run; it equals the mixture whenever the pattern is
     deterministic, which compiled patterns are (see
     ``branch_determinism_check``).  ``readout`` defaults to all wires in
     order.
     """
+    _check_integer(branch_limit, "branch_limit")
+    if branch_limit < 1:
+        raise ValueError(f"branch_limit = {branch_limit} must be at least 1")
     if readout is None:
         readout = ReadoutSpec(tuple(range(pattern.wires)))
     start = np.zeros((1, len(pattern.steps)), dtype=np.uint8)

@@ -41,6 +41,13 @@ CZ_MATRIX = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 MAX_DENSE_QUBITS = 12
 
 
+def _check_integer(value: object, name: str) -> None:
+    """Reject bools and non-integers (``np.integer`` passes) by a ValueError
+    naming the value; ``True`` would otherwise act as 1 and ``2.5`` be cut."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class ParseError(ValueError):
     """Malformed program text.  ``line_no`` is 1-based."""
 

@@ -43,7 +43,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .program_ir import CZ_MATRIX, CZGate, Gate, Program, RotationGate
+from .program_ir import CZ_MATRIX, CZGate, Gate, Program, RotationGate, _check_integer
 
 #: Largest register the dense engine will allocate (2**24 amplitudes = 256 MB).
 MAX_QUBITS = 24
@@ -262,6 +262,8 @@ class ReadoutSpec:
     def __post_init__(self) -> None:
         if not self.qubits:
             raise ValueError("readout needs at least one qubit")
+        for q in self.qubits:
+            _check_integer(q, "readout qubit")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit in readout {self.qubits}")
         if any(q < 0 for q in self.qubits):
@@ -520,6 +522,7 @@ def exact_distribution(program: Program, s_in: str, readout: ReadoutSpec) -> Dis
 
 def sample(dist: Distribution, shots: int, seed: int) -> dict[str, int]:
     """Multinomial counts for ``shots`` draws; deterministic in ``seed``."""
+    _check_integer(shots, "shots")
     if shots < 1:
         raise ValueError(f"shots = {shots} must be positive")
     probs = dist._probs
@@ -537,6 +540,8 @@ def cool(state: PureState, qubits: Sequence[int], seed: int = 0) -> PureState:
     """
     if not qubits:
         raise ValueError("cool needs at least one qubit")
+    for q in qubits:
+        _check_integer(q, "cool qubit")
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubit in {tuple(qubits)}")
     if max(qubits) >= state.n or min(qubits) < 0:

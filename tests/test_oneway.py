@@ -395,7 +395,7 @@ class TestSimulation:
             simulate_pattern(pattern, "00", policy="guess")
 
     def test_branch_limit_guard(self):
-        pattern = compile_to_pattern(parse_program("R 0 3 5 7 4"))
+        pattern = strip_dependencies(compile_to_pattern(parse_program("R 0 3 5 7 4")))
         with pytest.raises(BranchLimitError):
             simulate_pattern(pattern, "0", branch_limit=1)
 
@@ -424,7 +424,7 @@ class TestSimulation:
     def test_compiled_branch_peak(self, wires, limit):
         """Counted, not timed: each limit is half the peak that merging on
         outcome records reached on the same program (16384 / 65536 / 65536
-        rows); frames need 4^wires rows here."""
+        rows)."""
         program = random_program(np.random.default_rng(0), wires, 40)
         pattern = compile_to_pattern(program)
         s_in = "0" * wires
@@ -432,6 +432,69 @@ class TestSimulation:
         dist = simulate_pattern(pattern, s_in, readout, branch_limit=limit)
         exact = exact_distribution(program, s_in, readout)
         assert total_variation_distance(dist, exact) < 1e-12
+
+    def test_compiled_patterns_keep_one_branch(self):
+        """Counted, not timed: the byproducts of every outcome undo its
+        effect on a compiled pattern's state, so enumeration never holds
+        more than one branch after a merge."""
+        programs = [
+            random_program(np.random.default_rng(seed), wires, 40)
+            for wires in range(2, 7)
+            for seed in range(3)
+        ]
+        rng = np.random.default_rng(60)
+        programs.append(random_program(rng, 8, 120))
+        for program in programs:
+            width = program.width
+            s_in = "0" * width
+            readout = ReadoutSpec(tuple(range(width)))
+            dist = simulate_pattern(compile_to_pattern(program), s_in, readout, branch_limit=1)
+            exact = exact_distribution(program, s_in, readout)
+            assert total_variation_distance(dist, exact) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(program=small_programs(), data=st.data())
+    def test_uncertified_patterns_match_naive_dense_reference(self, program, data):
+        """Stripped copies and single-domain mutants of compiled patterns,
+        including mutants whose one outcome puts X and Z on the same vertex,
+        against the dense reference, for full, subset and permuted readouts."""
+        pattern = compile_to_pattern(program)
+        assume(0 < len(pattern.steps) <= 8)
+        kind = data.draw(st.sampled_from(["stripped", "mutant", "x-and-z"]))
+        if kind == "stripped":
+            pattern = strip_dependencies(pattern)
+        elif kind == "mutant":
+            pattern = data.draw(st.sampled_from(list(single_domain_mutants(pattern))))
+        else:
+            # a vertex already in an X set enters the Z set of the same owner
+            owners = [(i, sorted(step.s_domain)) for i, step in enumerate(pattern.steps)]
+            owners += [(-1 - j, sorted(xs)) for j, xs in enumerate(pattern.x_corrections)]
+            owner, xs = data.draw(st.sampled_from([o for o in owners if o[1]]))
+            v = data.draw(st.sampled_from(xs))
+            if owner >= 0:
+                step = pattern.steps[owner]
+                changed = dataclasses.replace(step, t_domain=step.t_domain ^ {v})
+                steps = pattern.steps[:owner] + (changed,) + pattern.steps[owner + 1:]
+                pattern = dataclasses.replace(pattern, steps=steps)
+            else:
+                zs = list(pattern.z_corrections)
+                zs[-1 - owner] = zs[-1 - owner] ^ {v}
+                pattern = dataclasses.replace(pattern, z_corrections=tuple(zs))
+        width = pattern.wires
+        qubits = data.draw(st.permutations(range(width)))
+        qubits = qubits[: data.draw(st.integers(1, width))]
+        readout = ReadoutSpec(tuple(qubits))
+        s_in = data.draw(st.text("01", min_size=width, max_size=width))
+        fast = simulate_pattern(pattern, s_in, readout)
+        slow = naive_pattern_distribution(pattern, s_in, readout)
+        assert total_variation_distance(fast, slow) < 1e-10
+
+    @pytest.mark.parametrize("limit", [0, -1, 0.5, True, 2.0])
+    def test_branch_limit_checked_before_any_work(self, limit):
+        for text in ("R 0 3 5 7 4", "CZ 0 1"):
+            pattern = compile_to_pattern(parse_program(text))
+            with pytest.raises(ValueError, match="branch_limit"):
+                simulate_pattern(pattern, "0" * pattern.wires, branch_limit=limit)
 
 
 class TestDeterminism:

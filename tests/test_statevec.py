@@ -364,6 +364,16 @@ class TestDistributions:
         dist = exact_distribution(parse_program("R 0 0 0 0 1"), "0", ReadoutSpec((0,)))
         assert dist["0"] == pytest.approx(1.0, abs=0)
 
+    @pytest.mark.parametrize("qubit", [True, False, 0.0, 1.5, "0", None])
+    def test_readout_qubits_must_be_integers(self, qubit):
+        with pytest.raises(ValueError, match=f"readout qubit must be an integer, got {qubit!r}"):
+            ReadoutSpec((qubit,))
+
+    def test_numpy_integer_readout_qubits_accepted(self):
+        readout = ReadoutSpec((np.int64(1), np.int32(0)))
+        dist = exact_distribution(parse_program("R 0 64 0 0 8"), "00", readout)
+        assert dist["01"] == pytest.approx(1.0, abs=1e-12)
+
     def test_readout_order_matters(self):
         state = run_program(parse_program("R 0 64 0 0 8"), "00")
         forward = state_distribution(state, ReadoutSpec((0, 1)))
@@ -535,6 +545,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(Distribution({"0": 1.0}), 0, seed=1)
 
+    @pytest.mark.parametrize("shots", [2.5, 2.0, True])
+    def test_shots_must_be_an_integer(self, shots):
+        with pytest.raises(ValueError, match=f"shots must be an integer, got {shots!r}"):
+            sample(Distribution({"0": 1.0}), shots, seed=1)
+
+    def test_numpy_integer_shots_accepted(self):
+        assert sample(Distribution({"0": 1.0}), np.int64(3), seed=1) == {"0": 3}
+
 
 def cool_states():
     """A 4-qubit state of +-1/2 and +-i/2 amplitudes and a 3-qubit ramp."""
@@ -611,6 +629,15 @@ class TestCool:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             cool(init_from_bitstring("0"), [1])
+
+    @pytest.mark.parametrize("qubit", [0.0, True, 1.0])
+    def test_qubits_must_be_integers(self, qubit):
+        with pytest.raises(ValueError, match=f"cool qubit must be an integer, got {qubit!r}"):
+            cool(init_from_bitstring("01"), [qubit])
+
+    def test_numpy_integer_qubits_accepted(self):
+        cooled = cool(init_from_bitstring("01"), [np.int64(1)])
+        np.testing.assert_allclose(np.abs(cooled.amplitudes), [1, 0, 0, 0], atol=0)
 
     @pytest.mark.parametrize("case", sorted(COOL_TABLE))
     def test_outputs_match_fixed_table(self, case):
