@@ -25,6 +25,7 @@ from qpc import (
     sample,
     total_variation_distance,
 )
+from qpc import statevec
 from qpc.program_ir import CZ_MATRIX, PAULI_Y
 from qpc.statevec import (
     _apply_in_place,
@@ -41,21 +42,27 @@ BELL_TYPE = "R 0 0 32 0 8\nR 1 0 32 0 8\nCZ 0 1"
 
 @st.composite
 def fusion_cases(draw):
-    """(program, s_in) whose gate order exercises every pending-matrix case.
+    """(program, s_in) whose gate order exercises every case of the fuser.
 
     Segments are runs of Z-only rotations on one wire, same-wire rotations
-    of mixed kinds, identity rotations (k = (0, 0, 0)) and CZs, so
-    rotations on a wire sit on both sides of the CZs that touch it.  The
-    input may be wider than the program.
+    of mixed kinds, identity rotations (k = (0, 0, 0)), CZs on neighbours
+    (written in either order) and CZs on any two wires, the wrap pair
+    (wires - 1, 0) included, so rotations on a wire sit on both sides of
+    the CZs that touch it, chains of neighbour CZs outgrow the widest
+    block, and other CZs meet blocks on their wires.  The input may be
+    wider than the program.
     """
-    wires = draw(st.integers(1, 4))
+    wires = draw(st.integers(1, 7))
     wire = st.integers(0, wires - 1)
     m = draw(st.integers(1, 5))
     numerator = st.integers(0, (1 << m) - 1)
     gates = []
-    for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["z-run", "mixed-run", "identity", "cz"]))
-        if kind == "cz" and wires > 1:
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["z-run", "mixed-run", "identity", "neighbour-cz", "cz"]))
+        if kind == "neighbour-cz" and wires > 1:
+            q = draw(st.integers(0, wires - 2))
+            gates.append(CZGate(q, q + 1) if draw(st.booleans()) else CZGate(q + 1, q))
+        elif kind == "cz" and wires > 1:
             a, b = draw(st.lists(wire, min_size=2, max_size=2, unique=True))
             gates.append(CZGate(a, b))
         elif kind == "identity":
@@ -72,6 +79,29 @@ def fusion_cases(draw):
     extra = draw(st.integers(0, 2))
     bits = draw(st.lists(st.sampled_from("01"), min_size=wires + extra, max_size=wires + extra))
     return program, "".join(bits)
+
+
+@st.composite
+def diagonal_tail_cases(draw):
+    """(program, s_in, readout): a fuser case followed by Z-only rotations
+    and CZs on any wires, with a few dense rotations among them, so some
+    diagonal gates have a later dense gate on one of their wires and others
+    on none; read out on a random ordered subset of the input's qubits."""
+    program, s_in = draw(fusion_cases())
+    n = len(s_in)
+    qubit = st.integers(0, n - 1)
+    tail = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["cz", "cz", "z", "z", "dense"]))
+        if kind == "cz" and n > 1:
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            tail.append(CZGate(a, b))
+        elif kind == "dense":
+            tail.append(RotationGate(draw(qubit), (draw(st.integers(1, 31)), 0, 3), 5))
+        else:
+            tail.append(RotationGate(draw(qubit), (0, 0, draw(st.integers(0, 31))), 5))
+    readout = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    return Program(program.gates + tuple(tail)), s_in, ReadoutSpec(tuple(readout))
 
 
 @st.composite
@@ -147,6 +177,21 @@ KERNEL_MATRICES = {
     "CZ": CZ_MATRIX,
     "phased permutation 4x4": np.eye(4)[[2, 0, 3, 1]] * np.exp(1j * np.arange(4)),
 }
+
+
+def count_passes(monkeypatch):
+    """A list whose first entry counts the kernel passes over the vector
+    (``_apply_dense`` and ``_move_and_scale`` calls) from here on."""
+    passes = [0]
+    for name in ("_apply_dense", "_move_and_scale"):
+        kernel = getattr(statevec, name)
+
+        def counted(*args, kernel=kernel):
+            passes[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(statevec, name, counted)
+    return passes
 
 
 class TestKernel:
@@ -279,6 +324,19 @@ class TestRunProgram:
         with pytest.raises(ValueError):
             run_program(parse_program("CZ 0 1"), "0")
 
+    @pytest.mark.parametrize("run", [run_program, lambda p, s: exact_distribution(p, s, ReadoutSpec((0,)))])
+    def test_width_mismatch_fails_before_allocating(self, run):
+        # 2**20 amplitudes would take 16 MiB
+        program = Program((RotationGate(0, (1, 0, 0), 2), CZGate(0, 20)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="program touches qubit 20 but input has 20 bits"):
+                run(program, "0" * 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     def test_input_may_exceed_program_width(self):
         state = run_program(parse_program("R 0 64 0 0 8"), "00")
         np.testing.assert_allclose(state.amplitudes, [0, 0, -1j, 0], atol=1e-15)
@@ -302,6 +360,21 @@ class TestRunProgram:
             expected = apply_gate(expected, gate)
         state = run_program(program, s_in)
         assert np.max(np.abs(state.amplitudes - expected.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "layers, run_passes, exact_passes",
+        # fusing only per wire and per neighbour CZ took 35 / 13 / 6 passes
+        # in both run_program and exact_distribution
+        [(6, 13, 11), (2, 5, 3), (1, 3, 3)],
+    )
+    def test_brickwork_pass_count(self, monkeypatch, layers, run_passes, exact_passes):
+        program = brickwork(np.random.default_rng(51), 12, layers)
+        passes = count_passes(monkeypatch)
+        run_program(program, "0" * 12)
+        assert passes[0] == run_passes
+        passes[0] = 0
+        exact_distribution(program, "0" * 12, ReadoutSpec((0, 1, 2)))
+        assert passes[0] == exact_passes
 
     def test_peak_memory_is_one_state_vector_and_a_block(self):
         n = 16
@@ -359,6 +432,20 @@ class TestDistributions:
         dist = exact_distribution(parse_program(BELL_TYPE), "00", ReadoutSpec((0,)))
         assert dist["0"] == pytest.approx(0.5, abs=1e-12)
         assert dist["1"] == pytest.approx(0.5, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=diagonal_tail_cases())
+    def test_diagonal_suffix_skip_is_exact(self, case):
+        program, s_in, readout = case
+        expected = state_distribution(run_program(program, s_in), readout)
+        assert total_variation_distance(exact_distribution(program, s_in, readout), expected) <= 1e-12
+
+    def test_diagonal_program_makes_no_pass(self, monkeypatch):
+        program = parse_program("R 0 0 0 5 4\nCZ 0 2\nR 2 0 0 3 3\nCZ 1 2\nR 1 0 0 0 1")
+        passes = count_passes(monkeypatch)
+        dist = exact_distribution(program, "110", ReadoutSpec((2, 0)))
+        assert passes[0] == 0
+        assert dist.entries == {"00": 0.0, "01": 1.0, "10": 0.0, "11": 0.0}
 
     def test_identity_point_mass(self):
         dist = exact_distribution(parse_program("R 0 0 0 0 1"), "0", ReadoutSpec((0,)))
