@@ -279,7 +279,9 @@ def runtime_to_target(
     that reaches it (returned) within ``rel_tol`` of one that does not.
     The overlap is not monotone in T, so this is a crossing, not
     necessarily the smallest T that reaches the target.  Raises
-    RuntimeError if ``time_cap`` is hit first.
+    RuntimeError if ``time_cap`` is hit first.  ``rel_tol`` must lie in
+    (0, 1) and ``time_cap`` be finite and positive; both are checked
+    before the first probe.
     """
     if kind not in SCHEDULE_KINDS:
         raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
@@ -287,6 +289,10 @@ def runtime_to_target(
         raise ValueError(
             f"target {target} must sit strictly between 1/N and 1"
         )
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol = {rel_tol} must lie in (0, 1)")
+    if not 0.0 < time_cap < math.inf:
+        raise ValueError(f"time_cap = {time_cap} must be finite and positive")
 
     def overlap_at(total_time: float) -> float:
         schedule = Schedule(kind, total_time, default_steps(total_time))

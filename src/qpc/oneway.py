@@ -34,8 +34,10 @@ in how each measurement outcome is chosen:
   phase are merged.  On a compiled pattern the byproducts of each outcome
   undo its effect on the state, so both halves of a split merge again and
   one branch stays live at every wire count.
-* ``"seeded-random"`` -- one branch, outcomes drawn from a seeded generator.
-* ``branch_determinism_check`` runs forced outcome assignments, one per row.
+* chosen outcomes -- a branch takes outcome 1 when its number for the step
+  is at least its probability of outcome 0, or the reachable outcome if the
+  other has probability ~0.  ``"seeded-random"`` follows one branch on
+  seeded uniform draws; ``branch_determinism_check`` forces 0/1 numbers.
 
 Determinism of a pattern is certified without simulation when its domains
 are exactly those induced by a causal flow (``_flow_certificate``; Danos &
@@ -51,7 +53,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -69,7 +71,7 @@ _PLUS = np.array([1.0, 1.0], dtype=complex) / _SQRT2
 _SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)  # outcome 0 / 1 projector signs
 _DROP_TOL = 1e-14          # conditional branch probability treated as zero
 _MERGE_TOL = 1e-11         # max overlap deficit for states considered equal
-_FORCE_TOL = 1e-12         # forced outcomes below this probability are unreachable
+_FORCE_TOL = 1e-12         # a chosen outcome below this probability is unreachable
 
 #: Register guard for pattern simulation (active vertices at any instant).
 MAX_ACTIVE = 24
@@ -478,39 +480,11 @@ def _merge(vecs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return vecs[kept], np.bincount(owner, weights=weights, minlength=n)[kept]
 
 
-#: Outcome policy of the batch engine: ``draw(p0, column)`` gets each row's
-#: probability of outcome 0 and the step's column of ``records``, and returns
-#: one outcome per row, or None to split every row into both outcomes.
-_Draw = Callable[[np.ndarray, np.ndarray], Optional[np.ndarray]]
-
-
-def _split(p0: np.ndarray, column: np.ndarray) -> None:
-    return None
-
-
-def _read_column(p0: np.ndarray, column: np.ndarray) -> np.ndarray:
-    return column
-
-
-def _seeded(rng: np.random.Generator) -> _Draw:
-    """One draw per step; an outcome below ``_FORCE_TOL`` is flipped."""
-
-    def draw(p0: np.ndarray, column: np.ndarray) -> np.ndarray:
-        p_plus = min(max(float(p0[0]), 0.0), 1.0)
-        outcome = int(rng.random() >= p_plus)
-        if (p_plus if outcome == 0 else 1.0 - p_plus) < _FORCE_TOL:
-            outcome = 1 - outcome
-        return np.array([outcome], dtype=np.uint8)
-
-    return draw
-
-
 def _run_batch(
     pattern: MeasurementPattern,
     s_in: str,
     readout: ReadoutSpec,
-    records: np.ndarray,
-    draw: _Draw,
+    draws: Optional[np.ndarray],
     branch_limit: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the pattern on a batch of branches; the engine behind every policy.
@@ -519,18 +493,16 @@ def _run_batch(
     (``vecs[b]``, shape ``(B, 2^a)``) and its weight.  Each step is
     measured at its base angle, both projections are taken for all rows at
     once, and the outcome-1 projections get the step's byproducts (see
-    ``_Plan``).  ``draw`` picks outcomes:
+    ``_Plan``; a fused step has probability 1/2 for either outcome).
+    ``draws`` picks the outcomes:
 
-    * a split (``_split``) keeps both outcomes of every row and drops rows
-      below ``_DROP_TOL``; rows whose states agree up to phase are then
-      merged, and more than ``branch_limit`` rows raise BranchLimitError;
-    * a chosen outcome per row (``_read_column`` reads row b's outcome from
-      ``records[b]``, column ``c`` for step ``c``; ``_seeded`` draws) drops
-      rows whose outcome has probability below ``_FORCE_TOL``, as
-      unreachable.
-
-    Fused steps (see ``_Plan``) have probability 1/2 for either outcome and
-    never drop a row.
+    * ``None`` splits every row into both outcomes and drops rows below
+      ``_DROP_TOL``; rows whose states agree up to phase are then merged,
+      and more than ``branch_limit`` rows raise BranchLimitError;
+    * a ``(B, k)`` array runs B rows from one start, and row b takes
+      outcome 1 at step i when ``draws[b, i]`` is at least its probability
+      of outcome 0.  An outcome of probability below ``_FORCE_TOL`` is
+      unreachable, and the row takes the other one; chosen rows never drop.
 
     Returns the rows' weights, shape ``(B,)``, and their corrected readout
     marginals, shape ``(B, 2^m)``.
@@ -538,15 +510,16 @@ def _run_batch(
     _check_run(pattern, s_in, readout)
     plan = pattern._plan
     local = [_BASIS[int(ch)] for ch in s_in] + [_PLUS]
-    vecs = np.ones((len(records), 1), dtype=complex)
-    weights = np.ones(len(records))
+    vecs = np.ones((1 if draws is None else len(draws), 1), dtype=complex)
+    weights = np.ones(len(vecs))
     for idx in range(len(pattern.steps)):
         vecs = _apply(vecs, plan.prepare[idx], local)
         b = len(vecs)
         psi = vecs.reshape(b, 1 << plan.axis[idx], 2, -1)
         # proj[0] / proj[1]: projections onto |+_a> / |-_a> at the base angle a
         proj = (psi[:, :, 0] + _SIGNS * (plan.phases[idx] * psi[:, :, 1])) / _SQRT2
-        if plan.fused[idx]:
+        fused = plan.fused[idx]
+        if fused:
             # A fresh |+> neighbour w of the measured vertex enters as the
             # new last axis with their CZ folded in: outcome o leaves
             # proj[o] on w = 0 and proj[1 - o] on w = 1, each with
@@ -567,26 +540,22 @@ def _run_batch(
             for shift in (16, 8, 4, 2, 1):  # parity of up to 32 bits (MAX_ACTIVE)
                 parity ^= parity >> shift
             post[1] = post[1][:, index ^ x] * (1.0 - 2.0 * (parity & 1))
-        outcome = draw(p[0], records[:, idx])
-        if outcome is None:
+        if draws is None:
             vecs, p = post.reshape(2 * b, -1), p.reshape(-1)
             weights = np.concatenate((weights, weights))
-            tol = _DROP_TOL
+            if not fused:
+                keep = p >= _DROP_TOL
+                if not keep.all():
+                    vecs, p, weights = vecs[keep], p[keep], weights[keep]
         else:
-            one = outcome.astype(bool)
+            one = draws[:, idx] >= p[0]
+            if not fused:
+                one ^= np.where(one, p[1], p[0]) < _FORCE_TOL
             vecs, p = np.where(one[:, None], post[1], post[0]), np.where(one, p[1], p[0])
-            tol = _FORCE_TOL
-        if not plan.fused[idx]:
-            keep = p >= tol
-            if not keep.all():
-                vecs, p, weights = vecs[keep], p[keep], weights[keep]
-                if outcome is not None:
-                    records = records[keep]
-                if not len(p):  # every forced assignment was unreachable
-                    return weights, np.zeros((0, 1 << len(readout.qubits)))
+        if not fused:
             vecs = vecs / np.sqrt(p)[:, None]
         weights = weights * p
-        if outcome is None:
+        if draws is None:
             vecs, weights = _merge(vecs, weights)
             if len(weights) > branch_limit:
                 raise BranchLimitError(
@@ -614,24 +583,25 @@ def simulate_pattern(
     ``_DROP_TOL``, and merges branches whose states agree up to phase.  A
     compiled pattern keeps one live branch; more than ``branch_limit`` (an
     integer, at least 1) live branches raise BranchLimitError.
-    ``"seeded-random"`` follows one branch drawn from ``seed``, at the cost
-    of a single run; it equals the mixture whenever the pattern is
-    deterministic, which compiled patterns are (see
-    ``branch_determinism_check``).  ``readout`` defaults to all wires in
-    order.
+    ``"seeded-random"`` follows one branch at the cost of a single run: at
+    each step it draws ``u`` from ``numpy.random.default_rng(seed)`` and
+    takes outcome 1 when ``u`` is at least the probability of outcome 0,
+    except that an outcome of probability below ``_FORCE_TOL`` is never
+    taken.  It equals the mixture whenever the pattern is deterministic,
+    which compiled patterns are (see ``branch_determinism_check``).
+    ``readout`` defaults to all wires in order.
     """
     _check_integer(branch_limit, "branch_limit")
     if branch_limit < 1:
         raise ValueError(f"branch_limit = {branch_limit} must be at least 1")
     if readout is None:
         readout = ReadoutSpec(tuple(range(pattern.wires)))
-    start = np.zeros((1, len(pattern.steps)), dtype=np.uint8)
     if policy == "enumerate-all":
-        weights, marg = _run_batch(pattern, s_in, readout, start, _split, branch_limit)
+        weights, marg = _run_batch(pattern, s_in, readout, None, branch_limit)
         return Distribution.from_probabilities(weights @ marg)
     if policy == "seeded-random":
-        rng = np.random.default_rng(seed)
-        _, marg = _run_batch(pattern, s_in, readout, start, _seeded(rng))
+        draws = np.random.default_rng(seed).random((1, len(pattern.steps)))
+        _, marg = _run_batch(pattern, s_in, readout, draws)
         return Distribution.from_probabilities(marg[0])
     raise ValueError(f"unknown policy {policy!r}")
 
@@ -659,15 +629,21 @@ def branch_determinism_check(
     which holds for every compiled pattern, and proves determinism); other
     patterns get the exhaustive check.  ``"exhaustive"`` simulates all 2^k
     forced outcome assignments of the k measured vertices, refusing above
-    ``exhaustive_limit`` (also when ``"auto"`` falls back to it);
-    ``"sampled"`` simulates ``samples`` (at least 1) seeded random assignments.  Forced
-    branches of probability ~0 are unreachable and skipped; the others must
-    agree with the first within total variation distance ``tol``.
+    ``exhaustive_limit`` (an integer; also when ``"auto"`` falls back to
+    it); ``"sampled"`` simulates ``samples`` (an integer, at least 1)
+    seeded random assignments.  A forced outcome of probability below
+    ``_FORCE_TOL`` is unreachable, and its branch follows the reachable
+    outcome instead.  Every branch must agree with the first within total
+    variation distance ``tol`` (finite, at least 0).
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_integer(samples, "samples")
+    _check_integer(exhaustive_limit, "exhaustive_limit")
     if mode == "sampled" and samples < 1:
         raise ValueError(f"samples = {samples} must be at least 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol = {tol} must be finite and at least 0")
     if readout is None:
         readout = ReadoutSpec(tuple(range(pattern.wires)))
     _check_run(pattern, s_in, readout)
@@ -687,16 +663,10 @@ def branch_determinism_check(
             (np.arange(lo, min(lo + _FORCED_BATCH, 1 << k))[:, None] >> bit) & 1
             for lo in range(0, 1 << k, _FORCED_BATCH)
         )
-    reference: Optional[Distribution] = None
-    for forced in batches:
-        _, marg = _run_batch(pattern, s_in, readout, forced, _read_column)
-        for row in marg:
-            dist = Distribution.from_probabilities(row)
-            if reference is None:
-                reference = dist
-            elif total_variation_distance(reference, dist) > tol:
-                return False
-    return True
+    margs = (_run_batch(pattern, s_in, readout, forced)[1] for forced in batches)
+    dists = (Distribution.from_probabilities(row) for marg in margs for row in marg)
+    reference = next(dists)  # chosen rows never drop, so there is a first
+    return all(total_variation_distance(reference, dist) <= tol for dist in dists)
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,26 @@ class TestRuntimeScaling:
         with pytest.raises(ValueError):
             runtime_to_target(GroverInstance("00"), "cubic")
 
+    @pytest.mark.parametrize(
+        "option, bad",
+        [("rel_tol", 0.0), ("rel_tol", -0.1), ("rel_tol", 1.0), ("rel_tol", 1.5),
+         ("rel_tol", math.nan), ("rel_tol", math.inf),
+         ("time_cap", 0.0), ("time_cap", -1.0), ("time_cap", math.nan),
+         ("time_cap", math.inf)],
+    )
+    def test_search_options_checked_before_any_probe(self, monkeypatch, option, bad):
+        # rel_tol = 0 used to bisect forever and rel_tol = nan to skip bisection
+        probes = []
+
+        def counted(instance, schedule):
+            probes.append(schedule)
+            raise AssertionError("probe run before the options were checked")
+
+        monkeypatch.setattr(adiabatic, "evolve", counted)
+        with pytest.raises(ValueError, match=option):
+            runtime_to_target(GroverInstance("01"), "linear", **{option: bad})
+        assert probes == []
+
 
 class TestReport:
     def test_overlap_range_enforced(self):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from qpc import (
     BranchLimitError,
     CZGate,
+    Distribution,
     MeasurementPattern,
     MeasureStep,
     ReadoutSpec,
@@ -26,6 +28,7 @@ from qpc import (
     simulate_pattern,
     total_variation_distance,
 )
+from qpc import oneway
 from qpc.oneway import _flow_certificate, zxz_euler
 from qpc.program_ir import RotationGate
 from conftest import random_program
@@ -109,6 +112,71 @@ def naive_pattern_distribution(pattern, s_in, readout):
     from qpc import Distribution
 
     return Distribution(entries)
+
+
+def dense_branch(pattern, s_in, readout, choose):
+    """Dense reference for one measurement branch.
+
+    Like ``naive_pattern_distribution``, but measures at the adapted angles
+    one step at a time on the normalized state: ``choose(i, p)`` gets the
+    probabilities ``p`` of step i's outcomes 0 and 1 and returns the one to
+    take.  Returns the branch probability and its corrected readout
+    marginal, or ``(0.0, None)`` once the branch reaches probability 0.
+    """
+    order = sorted(pattern.vertices)
+    inputs = {v: int(s_in[i]) for i, v in enumerate(pattern.inputs)}
+    vec = np.ones((1,), dtype=complex)
+    for v in order:
+        local = np.full(2, 1 / np.sqrt(2.0), dtype=complex)
+        if v in inputs:
+            local = np.eye(2, dtype=complex)[inputs[v]]
+        vec = np.kron(vec, local)
+    vec = vec.reshape((2,) * len(order))
+    for u, w in pattern.edges:
+        idx = [slice(None)] * len(order)
+        idx[order.index(u)] = idx[order.index(w)] = 1
+        vec[tuple(idx)] *= -1.0
+    live, record, prob = list(order), {}, 1.0
+    for i, step in enumerate(pattern.steps):
+        s_bit = sum(record[d] for d in step.s_domain) % 2
+        t_bit = sum(record[d] for d in step.t_domain) % 2
+        phase = np.exp(-1j * ((-1.0) ** s_bit * step.angle + np.pi * t_bit))
+        axis = live.index(step.vertex)
+        v0, v1 = np.take(vec, 0, axis=axis), np.take(vec, 1, axis=axis)
+        halves = [(v0 + phase * v1) / np.sqrt(2.0), (v0 - phase * v1) / np.sqrt(2.0)]
+        p = [float(np.sum(np.abs(h) ** 2)) for h in halves]
+        outcome = choose(i, p)
+        prob *= p[outcome]
+        if p[outcome] == 0.0:
+            return 0.0, None
+        vec = halves[outcome] / np.sqrt(p[outcome])
+        live.remove(step.vertex)
+        record[step.vertex] = outcome
+    for j, out_vertex in enumerate(pattern.outputs):
+        axis = live.index(out_vertex)
+        if sum(record[d] for d in pattern.x_corrections[j]) % 2:
+            vec = np.flip(vec, axis=axis)
+        if sum(record[d] for d in pattern.z_corrections[j]) % 2:
+            idx = [slice(None)] * vec.ndim
+            idx[axis] = 1
+            vec[tuple(idx)] *= -1.0
+    keep = [live.index(pattern.outputs[q]) for q in readout.qubits]
+    probs = np.abs(vec) ** 2
+    probs = probs.sum(axis=tuple(a for a in range(vec.ndim) if a not in keep))
+    return prob, np.transpose(probs, np.argsort(np.argsort(keep))).reshape(-1)
+
+
+def seeded_choice(seed):
+    """``choose`` for ``dense_branch``: one ``rng.random()`` per step takes
+    outcome 1 when it is at least p(0); an outcome of probability below
+    1e-12 is flipped to the other."""
+    rng = np.random.default_rng(seed)
+
+    def choose(i, p):
+        outcome = int(rng.random() >= p[0])
+        return 1 - outcome if p[outcome] < 1e-12 else outcome
+
+    return choose
 
 
 def strip_dependencies(pattern):
@@ -489,6 +557,28 @@ class TestSimulation:
         slow = naive_pattern_distribution(pattern, s_in, readout)
         assert total_variation_distance(fast, slow) < 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(program=small_programs(), data=st.data())
+    def test_seeded_random_follows_dense_single_branch(self, program, data):
+        """On stripped copies and single-domain mutants, where branches
+        differ, the seed selects the branch of the dense single-branch
+        reference that reads one draw per step, for full and subset
+        readouts."""
+        pattern = compile_to_pattern(program)
+        assume(0 < len(pattern.steps) <= 8)
+        if data.draw(st.booleans()):
+            pattern = strip_dependencies(pattern)
+        else:
+            pattern = data.draw(st.sampled_from(list(single_domain_mutants(pattern))))
+        width = pattern.wires
+        qubits = data.draw(st.permutations(range(width)))
+        readout = ReadoutSpec(tuple(qubits[: data.draw(st.integers(1, width))]))
+        s_in = data.draw(st.text("01", min_size=width, max_size=width))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        fast = simulate_pattern(pattern, s_in, readout, policy="seeded-random", seed=seed)
+        _, marg = dense_branch(pattern, s_in, readout, seeded_choice(seed))
+        assert total_variation_distance(fast, Distribution.from_probabilities(marg)) <= 1e-10
+
     @pytest.mark.parametrize("limit", [0, -1, 0.5, True, 2.0])
     def test_branch_limit_checked_before_any_work(self, limit):
         for text in ("R 0 3 5 7 4", "CZ 0 1"):
@@ -532,6 +622,66 @@ class TestDeterminism:
         pattern = compile_to_pattern(parse_program("R 0 3 1 2 3"))
         with pytest.raises(ValueError, match=f"samples = {samples} "):
             branch_determinism_check(pattern, "0", mode="sampled", samples=samples)
+
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "sampled"])
+    @pytest.mark.parametrize(
+        "option, bad",
+        [("tol", math.nan), ("tol", math.inf), ("tol", -1e-3),
+         ("samples", 2.5), ("samples", True),
+         ("exhaustive_limit", math.nan), ("exhaustive_limit", 2.5),
+         ("exhaustive_limit", True)],
+    )
+    def test_options_checked_before_any_simulation(self, monkeypatch, mode, option, bad):
+        # tol = nan used to pass this non-deterministic pattern in every mode
+        pattern = strip_dependencies(compile_to_pattern(parse_program("R 0 3 5 7 4")))
+
+        def run_batch(*args):
+            raise AssertionError("simulated before the options were checked")
+
+        monkeypatch.setattr(oneway, "_run_batch", run_batch)
+        with pytest.raises(ValueError, match=option):
+            branch_determinism_check(pattern, "0", mode=mode, **{option: bad})
+
+    @settings(max_examples=40, deadline=None)
+    @given(program=small_programs(), data=st.data())
+    def test_exhaustive_verdict_matches_per_branch_reference(self, program, data):
+        """Compiled patterns, stripped copies and single-domain mutants, some
+        with an idle vertex whose outcome 1 (angle 0) or 0 (angle pi) is
+        unreachable, against a reference that takes every assignment, skips
+        branches below 1e-12 and compares corrected marginals within tol."""
+        pattern = compile_to_pattern(program)
+        assume(0 < len(pattern.steps) <= 8)
+        kind = data.draw(st.sampled_from(["compiled", "stripped", "mutant"]))
+        if kind == "stripped":
+            pattern = strip_dependencies(pattern)
+        elif kind == "mutant":
+            pattern = data.draw(st.sampled_from(list(single_domain_mutants(pattern))))
+        if data.draw(st.booleans()):
+            idle = max(pattern.vertices) + 1
+            at = data.draw(st.integers(0, len(pattern.steps)))
+            step = MeasureStep(idle, data.draw(st.sampled_from([0.0, np.pi])))
+            pattern = dataclasses.replace(
+                pattern,
+                vertices=pattern.vertices | {idle},
+                steps=pattern.steps[:at] + (step,) + pattern.steps[at:],
+            )
+        width = pattern.wires
+        qubits = data.draw(st.permutations(range(width)))
+        readout = ReadoutSpec(tuple(qubits[: data.draw(st.integers(1, width))]))
+        s_in = data.draw(st.text("01", min_size=width, max_size=width))
+        tol = 1e-10
+        reference, expected = None, True
+        for assignment in itertools.product((0, 1), repeat=len(pattern.steps)):
+            prob, marg = dense_branch(pattern, s_in, readout, lambda i, p: assignment[i])
+            if prob < 1e-12:
+                continue
+            if reference is None:
+                reference = marg
+            elif 0.5 * np.abs(marg - reference).sum() > tol:
+                expected = False
+                break
+        verdict = branch_determinism_check(pattern, s_in, readout, mode="exhaustive", tol=tol)
+        assert verdict == expected
 
     @settings(max_examples=40, deadline=None)
     @given(program=small_programs(), data=st.data())
