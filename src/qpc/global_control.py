@@ -32,6 +32,7 @@ from .program_ir import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _check_integer,
     checked_unitary,
     parse_gate_fields,
 )
@@ -226,6 +227,7 @@ def bulk_measure(chain: CellChain, species: str, seed: int = 0) -> BulkResult:
     ``seed``) and collapses onto that weight eigenspace; individual cells
     are not resolved.
     """
+    _check_integer(seed, "seed")
     return _bulk_measure_rng(chain, species, np.random.default_rng(seed))
 
 
@@ -238,6 +240,7 @@ def _cool_species_rng(
 
 def cool_species(chain: CellChain, species: str, seed: int = 0) -> CellChain:
     """Reset every cell of a species to |0> (measure-and-flip realization)."""
+    _check_integer(seed, "seed")
     return _cool_species_rng(chain, species, np.random.default_rng(seed))
 
 
@@ -336,6 +339,7 @@ def run_script(
     the final chain and one event record per instruction (bulk measurement
     outcomes included).  All randomness comes from ``seed``.
     """
+    _check_integer(seed, "seed")
     rng = np.random.default_rng(seed)
     events: list[dict] = []
     current = chain

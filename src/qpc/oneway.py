@@ -592,6 +592,7 @@ def simulate_pattern(
     ``readout`` defaults to all wires in order.
     """
     _check_integer(branch_limit, "branch_limit")
+    _check_integer(seed, "seed")
     if branch_limit < 1:
         raise ValueError(f"branch_limit = {branch_limit} must be at least 1")
     if readout is None:
@@ -639,6 +640,7 @@ def branch_determinism_check(
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_integer(samples, "samples")
+    _check_integer(seed, "seed")
     _check_integer(exhaustive_limit, "exhaustive_limit")
     if mode == "sampled" and samples < 1:
         raise ValueError(f"samples = {samples} must be at least 1")

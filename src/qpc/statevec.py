@@ -25,12 +25,13 @@ each (cache blocking as in Häner & Steiger, SC'17).  ``run_program`` fuses
 gates greedily into blocks on windows of up to ``_FUSE_WIDTH`` = 4
 consecutive qubits, in the style of qsim's fuser (Isakov et al.,
 arXiv:2111.02396), so that one pass applies many gates (see
-``_Fuser``).  ``exact_distribution`` does not run the program's diagonal
-suffix, which a Born-rule readout cannot see.  A run keeps one state
-vector and one 256 KiB block alive beside small matrices; a non-diagonal
-monomial matrix adds the parts it saves while it moves data: half a
-vector for a one-qubit swap of halves such as X, less than one vector for
-any.
+``_Fuser``).  ``exact_distribution`` runs only the readout's backward
+light cone, on its wires alone; each gate it drops commutes with the
+gates it keeps and with the readout, so the Born rule cannot see it
+(``_light_cone``).  A run keeps one state vector and one 256 KiB block
+alive beside small matrices; a non-diagonal monomial matrix adds the
+parts it saves while it moves data: half a vector for a one-qubit swap of
+halves such as X, less than one vector for any.
 
 A ``Distribution`` holds its probabilities as one float array in outcome
 order.  Outcome key strings are built only when text is asked for
@@ -575,23 +576,30 @@ def run_program(program: Program, s_in: str) -> PureState:
     return PureState._adopt(n, vec)
 
 
-def _without_diagonal_suffix(program: Program) -> tuple[Gate, ...]:
-    """The gates of ``program`` without its diagonal suffix: the Z-only
-    rotations and CZs that no later non-diagonal gate touches on any of
-    their wires, found in one backward scan.  Each of them commutes with
-    every later gate, so together they act last, as one diagonal unitary."""
-    blocked: set[int] = set()
+def _light_cone(
+    gates: Sequence[Gate], readout: Sequence[int]
+) -> tuple[tuple[Gate, ...], list[int]]:
+    """The gates that a readout of the ``readout`` wires depends on, in
+    order, and the sorted wires of its backward light cone, in one backward
+    scan.  The cone starts as the readout wires; each kept gate adds its
+    wires.  A gate is dropped when it touches no cone wire, or when it is
+    diagonal (a Z-only rotation or CZ) and no later kept non-diagonal gate
+    touches its wires (``blocked``, within the cone): either way it
+    commutes with every later kept gate and with the readout's projectors."""
+    cone, blocked = set(readout), set()
     kept = []
-    for gate in reversed(program.gates):
+    for gate in reversed(gates):
         if isinstance(gate, CZGate):
             if gate.control in blocked or gate.target in blocked:
+                cone.update((gate.control, gate.target))
                 kept.append(gate)
         elif gate.k[0] or gate.k[1]:
-            blocked.add(gate.target)
-            kept.append(gate)
+            if gate.target in cone:
+                blocked.add(gate.target)
+                kept.append(gate)
         elif gate.target in blocked:
             kept.append(gate)
-    return tuple(reversed(kept))
+    return tuple(reversed(kept)), sorted(cone)
 
 
 def marginal_probabilities(
@@ -632,15 +640,28 @@ def exact_distribution(program: Program, s_in: str, readout: ReadoutSpec) -> Dis
 
     Equals <s_in| U^dag (identity x |s><s|) U |s_in> for each outcome s on
     the readout subset, i.e. the Born probabilities marginalized over the
-    qubits that are not read out.  The program's diagonal suffix is not
-    run: a diagonal unitary at the end changes only the phases of the
-    amplitudes, which the Born rule does not see, so this is exact.
-    """
+    qubits that are not read out.  Only the readout's backward light cone
+    runs (``_light_cone``), on its c wires renumbered 0..c-1 in order, so
+    on 2**c amplitudes; a cone that covers the register runs the kept gates
+    as they are.  This is exact: a dropped gate commutes with the kept ones
+    and the readout, and a wire that no kept gate touches stays in its
+    input basis state, in a product with the rest, which the marginal sums
+    out."""
     _check_input(s_in, program.width)
-    gates = _without_diagonal_suffix(program)
+    if max(readout.qubits) >= len(s_in):
+        raise ValueError(f"readout {readout.qubits} outside register of {len(s_in)}")
+    gates, wires = _light_cone(program.gates, readout.qubits)
+    if len(wires) < len(s_in):
+        new = {q: i for i, q in enumerate(wires)}
+        gates = tuple(
+            CZGate(new[g.control], new[g.target]) if isinstance(g, CZGate)
+            else RotationGate(new[g.target], g.k, g.m) for g in gates
+        )
+        s_in = "".join(s_in[q] for q in wires)
+        readout = ReadoutSpec(tuple(new[q] for q in readout.qubits))
     if gates:
         state = run_program(Program(gates), s_in)
-    else:  # nothing but diagonal gates: |s_in> reads out the same
+    else:  # no gate changes the readout: |s_in> reads out the same
         state = PureState._adopt(len(s_in), _basis_vector(s_in))
     return state_distribution(state, readout)
 
@@ -648,6 +669,7 @@ def exact_distribution(program: Program, s_in: str, readout: ReadoutSpec) -> Dis
 def sample(dist: Distribution, shots: int, seed: int) -> dict[str, int]:
     """Multinomial counts for ``shots`` draws; deterministic in ``seed``."""
     _check_integer(shots, "shots")
+    _check_integer(seed, "seed")
     if shots < 1:
         raise ValueError(f"shots = {shots} must be positive")
     probs = dist._probs
@@ -663,6 +685,7 @@ def cool(state: PureState, qubits: Sequence[int], seed: int = 0) -> PureState:
     flipped when the outcome is 1.  Identical on states where the qubits are
     already |0>; entanglement with unlisted qubits collapses accordingly.
     """
+    _check_integer(seed, "seed")
     if not qubits:
         raise ValueError("cool needs at least one qubit")
     for q in qubits:

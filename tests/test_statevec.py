@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpc import (
@@ -16,16 +16,23 @@ from qpc import (
     PureState,
     ReadoutSpec,
     RotationGate,
+    branch_determinism_check,
+    bulk_measure,
+    chain_from_bits,
+    compile_to_pattern,
     cool,
+    cool_species,
     exact_distribution,
     init_from_bitstring,
     parse_program,
     program_unitary,
     run_program,
+    run_script,
     sample,
+    simulate_pattern,
     total_variation_distance,
 )
-from qpc import statevec
+from qpc import oneway, statevec
 from qpc.program_ir import CZ_MATRIX, PAULI_Y
 from qpc.statevec import (
     _apply_in_place,
@@ -39,9 +46,12 @@ from conftest import random_program
 
 BELL_TYPE = "R 0 0 32 0 8\nR 1 0 32 0 8\nCZ 0 1"
 
+#: Dense rotations and a CZ on qubits 0 and 1 only.
+OFF_CONE = "R 0 3 1 2 3\nCZ 0 1\nR 1 5 0 1 3"
+
 
 @st.composite
-def fusion_cases(draw):
+def fusion_cases(draw, max_wires=7):
     """(program, s_in) whose gate order exercises every case of the fuser.
 
     Segments are runs of Z-only rotations on one wire, same-wire rotations
@@ -52,7 +62,7 @@ def fusion_cases(draw):
     block, and other CZs meet blocks on their wires.  The input may be
     wider than the program.
     """
-    wires = draw(st.integers(1, 7))
+    wires = draw(st.integers(1, max_wires))
     wire = st.integers(0, wires - 1)
     m = draw(st.integers(1, 5))
     numerator = st.integers(0, (1 << m) - 1)
@@ -82,12 +92,12 @@ def fusion_cases(draw):
 
 
 @st.composite
-def diagonal_tail_cases(draw):
+def diagonal_tail_cases(draw, max_wires=7):
     """(program, s_in, readout): a fuser case followed by Z-only rotations
     and CZs on any wires, with a few dense rotations among them, so some
     diagonal gates have a later dense gate on one of their wires and others
     on none; read out on a random ordered subset of the input's qubits."""
-    program, s_in = draw(fusion_cases())
+    program, s_in = draw(fusion_cases(max_wires))
     n = len(s_in)
     qubit = st.integers(0, n - 1)
     tail = []
@@ -102,6 +112,22 @@ def diagonal_tail_cases(draw):
             tail.append(RotationGate(draw(qubit), (0, 0, draw(st.integers(0, 31))), 5))
     readout = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
     return Program(program.gates + tuple(tail)), s_in, ReadoutSpec(tuple(readout))
+
+
+@st.composite
+def cone_cases(draw):
+    """(program, s_in, readout) with at most 8 qubits: a diagonal tail case
+    on an input one or more bits wider than the program, read out on a
+    permuted subset that holds at least one wire no gate touches."""
+    program, s_in, readout = draw(diagonal_tail_cases(max_wires=5))
+    extra = draw(st.integers(1, 8 - len(s_in)))
+    s_in += "".join(draw(st.lists(st.sampled_from("01"), min_size=extra, max_size=extra)))
+    touched = {g.target for g in program.gates}
+    touched |= {g.control for g in program.gates if isinstance(g, CZGate)}
+    qubits = list(readout.qubits)
+    idle = draw(st.sampled_from([q for q in range(len(s_in)) if q not in touched | set(qubits)]))
+    qubits.insert(draw(st.integers(0, len(qubits))), idle)
+    return program, s_in, ReadoutSpec(tuple(qubits))
 
 
 @st.composite
@@ -181,13 +207,15 @@ KERNEL_MATRICES = {
 
 def count_passes(monkeypatch):
     """A list whose first entry counts the kernel passes over the vector
-    (``_apply_dense`` and ``_move_and_scale`` calls) from here on."""
-    passes = [0]
+    (``_apply_dense`` and ``_move_and_scale`` calls) from here on, and whose
+    second is the set of the lengths of the vectors they ran on."""
+    passes = [0, set()]
     for name in ("_apply_dense", "_move_and_scale"):
         kernel = getattr(statevec, name)
 
         def counted(*args, kernel=kernel):
             passes[0] += 1
+            passes[1].add(len(args[0]))
             return kernel(*args)
 
         monkeypatch.setattr(statevec, name, counted)
@@ -362,19 +390,20 @@ class TestRunProgram:
         assert np.max(np.abs(state.amplitudes - expected.amplitudes)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "layers, run_passes, exact_passes",
+        "layers, run_passes, exact_passes, cone",
         # fusing only per wire and per neighbour CZ took 35 / 13 / 6 passes
-        # in both run_program and exact_distribution
-        [(6, 13, 11), (2, 5, 3), (1, 3, 3)],
+        # in both run_program and exact_distribution; skipping only the
+        # diagonal suffix, exact_distribution took 11 / 3 / 3 on all 12 wires
+        [(6, 13, 6, 8), (2, 5, 1, 4), (1, 3, 1, 3)],
     )
-    def test_brickwork_pass_count(self, monkeypatch, layers, run_passes, exact_passes):
+    def test_brickwork_pass_count(self, monkeypatch, layers, run_passes, exact_passes, cone):
         program = brickwork(np.random.default_rng(51), 12, layers)
         passes = count_passes(monkeypatch)
         run_program(program, "0" * 12)
-        assert passes[0] == run_passes
-        passes[0] = 0
+        assert passes == [run_passes, {1 << 12}]
+        passes[:] = [0, set()]
         exact_distribution(program, "0" * 12, ReadoutSpec((0, 1, 2)))
-        assert passes[0] == exact_passes
+        assert passes == [exact_passes, {1 << cone}]
 
     def test_peak_memory_is_one_state_vector_and_a_block(self):
         n = 16
@@ -439,6 +468,58 @@ class TestDistributions:
         program, s_in, readout = case
         expected = state_distribution(run_program(program, s_in), readout)
         assert total_variation_distance(exact_distribution(program, s_in, readout), expected) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=cone_cases())
+    # every gate outside the cone; an all-diagonal program; a full readout
+    @example(case=(parse_program(OFF_CONE), "0110", ReadoutSpec((3, 2))))
+    @example(
+        case=(parse_program("R 0 0 0 5 4\nCZ 0 2\nR 2 0 0 3 3"), "1101", ReadoutSpec((3, 0, 2)))
+    )
+    @example(case=(parse_program(OFF_CONE + "\nCZ 1 2"), "010", ReadoutSpec((2, 0, 1))))
+    def test_light_cone_is_exact(self, case):
+        program, s_in, readout = case
+        dist = exact_distribution(program, s_in, readout)
+        expected = state_distribution(run_program(program, s_in), readout)
+        assert total_variation_distance(dist, expected) <= 1e-12
+        folded = init_from_bitstring(s_in)
+        for gate in program.gates:
+            folded = apply_gate(folded, gate)
+        assert total_variation_distance(dist, state_distribution(folded, readout)) <= 1e-12
+
+    def test_gates_outside_the_cone_make_no_pass(self, monkeypatch):
+        program = parse_program(OFF_CONE)
+        passes = count_passes(monkeypatch)
+        dist = exact_distribution(program, "0110", ReadoutSpec((3, 2)))
+        assert passes[0] == 0
+        assert dist.entries == {"00": 0.0, "01": 1.0, "10": 0.0, "11": 0.0}
+
+    @pytest.mark.parametrize("layers, passes_today", [(6, 11), (2, 3), (1, 3)])
+    def test_full_readout_runs_the_kept_gates_as_they_are(self, monkeypatch, layers, passes_today):
+        program = brickwork(np.random.default_rng(51), 12, layers)
+        readout = ReadoutSpec(tuple(np.random.default_rng(52).permutation(12).tolist()))
+        programs = []
+
+        def run(program, s_in):
+            programs.append(program)
+            return run_program(program, s_in)
+
+        monkeypatch.setattr(statevec, "run_program", run)
+        passes = count_passes(monkeypatch)
+        dist = exact_distribution(program, "0" * 12, readout)
+        assert passes == [passes_today, {1 << 12}]
+        # no gate is rebuilt: the kept gates are the program's own objects
+        kept = {id(g) for g in program.gates}
+        assert all(id(g) in kept for g in programs[0].gates)
+        expected = state_distribution(run_program(program, "0" * 12), readout)
+        assert total_variation_distance(dist, expected) <= 1e-12
+
+    def test_readout_outside_register_fails_before_any_pass(self, monkeypatch):
+        passes = count_passes(monkeypatch)
+        program = brickwork(np.random.default_rng(51), 4, 2)
+        with pytest.raises(ValueError, match=r"readout \(0, 4\) outside register of 4"):
+            exact_distribution(program, "0000", ReadoutSpec((0, 4)))
+        assert passes[0] == 0
 
     def test_diagonal_program_makes_no_pass(self, monkeypatch):
         program = parse_program("R 0 0 0 5 4\nCZ 0 2\nR 2 0 0 3 3\nCZ 1 2\nR 1 0 0 0 1")
@@ -747,3 +828,39 @@ class TestCool:
         expected = np.zeros(16, dtype=complex)
         expected[9] = 0.9999999999999998j
         assert np.array_equal(second, expected)
+
+
+#: Every public function that takes a ``seed``, as a call with that seed.
+SEEDED_CALLS = {
+    "sample": lambda seed: sample(Distribution({"0": 1.0}), 10, seed=seed),
+    "cool": lambda seed: cool(init_from_bitstring("01"), [1], seed=seed),
+    "simulate_pattern": lambda seed: simulate_pattern(
+        compile_to_pattern(parse_program("R 0 3 1 2 3")), "0", policy="seeded-random", seed=seed
+    ),
+    "branch_determinism_check": lambda seed: branch_determinism_check(
+        compile_to_pattern(parse_program("R 0 3 1 2 3")), "0", mode="sampled", seed=seed
+    ),
+    "run_script": lambda seed: run_script(chain_from_bits("AB", "01"), "MEASURE A\n", seed=seed),
+    "bulk_measure": lambda seed: bulk_measure(chain_from_bits("AB", "01"), "A", seed=seed),
+    "cool_species": lambda seed: cool_species(chain_from_bits("AB", "01"), "B", seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [True, False, 2.5, 1.0, "1", None])
+@pytest.mark.parametrize("name", sorted(SEEDED_CALLS))
+def test_seed_must_be_an_integer(monkeypatch, name, seed):
+    # ``default_rng(True)`` would run as seed 1, and 2.5 raise a TypeError
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    monkeypatch.setattr(oneway, "_run_batch", no_work)
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+        SEEDED_CALLS[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_CALLS))
+def test_seed_accepts_numpy_integers_and_rejects_negatives(name):
+    SEEDED_CALLS[name](np.int64(3))
+    with pytest.raises(ValueError, match="negative"):
+        SEEDED_CALLS[name](-1)
