@@ -8,13 +8,15 @@ unitary on every adjacent ordered species pair, disjoint by periodicity),
 bulk Hamming-weight measurement of a species, and species cooling (reset
 to |0>).  ``transport_demo`` shows the conveyor effect: a cycle of SWAP
 pair pulses moves a payload one full period per round without ever
-addressing a single cell.
+addressing a single cell.  A SWAP of two |0> cells does nothing, so that
+result has a closed form, written directly; a periodic chain must then be
+a whole number of periods long, as for translation.
 
 The state convention matches the rest of the package: cell i is qubit i,
 most significant bit first.  Basis states, the unitary check of pulse
 matrices, the in-place kernel and the measure-and-flip reset come from
-``statevec`` and ``program_ir``; a pulse or a transport run acts on one
-private copy of the state.  This module adds only what is specific to species.
+``statevec`` and ``program_ir``; a pulse acts on one private copy of the
+state.  This module adds only what is specific to species.
 """
 
 from __future__ import annotations
@@ -151,8 +153,8 @@ def adjacent_pairs(chain: CellChain, first: str, second: str) -> tuple[tuple[int
     return tuple(pairs)
 
 
-def _pulse_in_place(chain: CellChain, vec: np.ndarray, pulse: GlobalPulse) -> None:
-    """Apply one global pulse to ``vec``, the chain's amplitudes, in place."""
+def apply_pulse(chain: CellChain, pulse: GlobalPulse) -> CellChain:
+    """Apply one global pulse; every matching cell (or pair) gets the op."""
     if isinstance(pulse, SpeciesPulse):
         targets = [(c,) for c in chain.cells_of(pulse.species)]
     elif isinstance(pulse, PairPulse):
@@ -163,14 +165,9 @@ def _pulse_in_place(chain: CellChain, vec: np.ndarray, pulse: GlobalPulse) -> No
         targets = adjacent_pairs(chain, pulse.first, pulse.second)
     else:
         raise ValueError(f"unknown pulse object {pulse!r}")
+    vec = np.array(chain.state.amplitudes)
     for qubits in targets:
         _apply_in_place(vec, chain.length, qubits, pulse.matrix)
-
-
-def apply_pulse(chain: CellChain, pulse: GlobalPulse) -> CellChain:
-    """Apply one global pulse; every matching cell (or pair) gets the op."""
-    vec = np.array(chain.state.amplitudes)
-    _pulse_in_place(chain, vec, pulse)
     return CellChain(chain.pattern, PureState._adopt(chain.length, vec), chain.boundary)
 
 
@@ -244,6 +241,12 @@ def cool_species(chain: CellChain, species: str, seed: int = 0) -> CellChain:
     return _cool_species_rng(chain, species, np.random.default_rng(seed))
 
 
+def _check_whole_periods(chain: CellChain) -> None:
+    """Reject a periodic chain whose wrap-around pair breaks the species cycle."""
+    if chain.boundary == "periodic" and chain.length % chain.period != 0:
+        raise ValueError(f"length {chain.length} is not a multiple of the period {chain.period}")
+
+
 def translate(chain: CellChain, offset: int) -> CellChain:
     """Cyclic shift of the state by ``offset`` cells (periodic chains only).
 
@@ -252,30 +255,32 @@ def translate(chain: CellChain, offset: int) -> CellChain:
     """
     if chain.boundary != "periodic":
         raise ValueError("translation is only defined on periodic chains")
-    if chain.length % chain.period != 0:
-        raise ValueError(
-            f"length {chain.length} is not a multiple of the period {chain.period}"
-        )
+    _check_whole_periods(chain)
     if offset % chain.period != 0:
         raise ValueError(f"offset {offset} is not a multiple of the period {chain.period}")
     n = chain.length
     psi = chain.state.amplitudes.reshape((2,) * n)
     axes = [(k - offset) % n for k in range(n)]
     vec = np.transpose(psi, axes).reshape(-1)
-    return CellChain(chain.pattern, PureState(n, vec), chain.boundary)
+    return CellChain(chain.pattern, PureState._adopt(n, vec), chain.boundary)
 
 
 def transport_demo(chain: CellChain, payload: np.ndarray, rounds: int) -> CellChain:
-    """Move a payload qubit down the chain with global SWAP pulses only.
+    """The chain after ``rounds`` rounds of global SWAP pulses.
 
     The chain must be cooled to |00...0>; the payload (a normalized
-    2-vector) is loaded into cell 0.  Each round applies SWAP pair pulses
-    over the species cycle -- (A,B), (B,C), (C,A) for an ABC pattern --
-    carrying the payload one full period of sites per round.  After k
-    rounds it sits at cell period*k (mod length when periodic).
+    2-vector) is loaded into cell 0.  A round is SWAP pair pulses over the
+    species cycle -- (A,B), (B,C), (C,A) for an ABC pattern -- each moving
+    the payload one cell.  Every other cell holds |0>, and a SWAP of two
+    |0> cells does nothing, so after k rounds the payload sits on cell
+    period*k (mod length when periodic) and the rest stays |0>: that state
+    is written directly.  A periodic chain must be a whole number of
+    periods long, or its wrap-around pair breaks the cycle.
     """
+    _check_integer(rounds, "rounds")
     if rounds < 0:
         raise ValueError(f"rounds = {rounds} must be non-negative")
+    _check_whole_periods(chain)
     amp0 = chain.state.amplitudes[0]
     if abs(abs(amp0) - 1.0) > 1e-12:
         raise ValueError("transport needs a chain cooled to the all-zeros state")
@@ -283,19 +288,14 @@ def transport_demo(chain: CellChain, payload: np.ndarray, rounds: int) -> CellCh
     if pay.shape != (2,):
         raise ValueError("payload must be a single-qubit amplitude pair")
     norm = np.linalg.norm(pay)
-    if abs(norm - 1.0) > 1e-10:
+    # written so that a NaN norm fails the check
+    if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"payload norm {norm} deviates from 1")
     dest = chain.period * rounds
     if chain.boundary == "open" and dest > chain.length - 1:
-        raise ValueError(
-            f"payload would cross the open boundary: site {dest} > {chain.length - 1}"
-        )
+        raise ValueError(f"payload would cross the open boundary: site {dest} > {chain.length - 1}")
     vec = np.zeros(1 << chain.length, dtype=complex)
-    vec[0], vec[1 << (chain.length - 1)] = pay
-    for _ in range(rounds):
-        for j in range(chain.period):
-            pair = chain.pattern[j], chain.pattern[(j + 1) % chain.period]
-            _pulse_in_place(chain, vec, PairPulse(*pair, SWAP_MATRIX))
+    vec[0], vec[1 << (chain.length - 1 - dest % chain.length)] = pay
     return CellChain(chain.pattern, PureState._adopt(chain.length, vec), chain.boundary)
 
 

@@ -442,7 +442,7 @@ def _basis_vector(s_in: str, width: int = 1) -> np.ndarray:
 
 def init_from_bitstring(s_in: str) -> PureState:
     """Computational basis state |s_in>."""
-    return PureState(len(s_in), _basis_vector(s_in))
+    return PureState._adopt(len(s_in), _basis_vector(s_in))
 
 
 def apply_gate(state: PureState, gate: Gate) -> PureState:

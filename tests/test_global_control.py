@@ -1,6 +1,7 @@
 """Tests for the species-addressed cell chain simulator."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qpc import (
     translate,
     transport_demo,
 )
+from qpc import global_control
 from qpc.global_control import adjacent_pairs
 from qpc.program_ir import CZ_MATRIX, PAULI_X, PAULI_Y, PAULI_Z, ParseError
 from qpc.statevec import apply_cz, apply_two_qubit
@@ -137,6 +139,25 @@ SCRIPT_TABLE = {
     }),
     ("R", 3): ([0], {0: (0.25182161277423315-0.9677736694805165j)}),
 }
+
+
+@st.composite
+def transport_cases(draw):
+    """A pattern, boundary and length of 2-10 cells (a whole number of
+    periods when periodic), a ``rounds`` the open-boundary guard allows
+    (up to two laps of a periodic chain) and a random payload."""
+    pattern = draw(st.sampled_from(["AB", "BA", "ABC", "ACB"]))
+    period = len(pattern)
+    boundary = draw(st.sampled_from(["open", "periodic"]))
+    if boundary == "open":
+        length = draw(st.integers(2, 10))
+        rounds = draw(st.integers(0, (length - 1) // period))
+    else:
+        length = period * draw(st.integers(1, 10 // period))
+        rounds = draw(st.integers(0, 2 * length // period))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return pattern, boundary, length, rounds, raw / np.linalg.norm(raw)
 
 
 class TestCellChain:
@@ -426,6 +447,49 @@ class TestTransport:
         with pytest.raises(ValueError):
             transport_demo(chain, np.array([1.0, 0.0]), 1)
 
+    @pytest.mark.parametrize("pattern, length, rounds", [("ABC", 5, 2), ("ABC", 7, 3), ("AB", 3, 1)])
+    def test_periodic_chain_needs_whole_periods(self, pattern, length, rounds):
+        # the wrap-around pair of such a ring breaks the species cycle: SWAP
+        # pulses leave the payload off cell period*rounds (mod length)
+        chain = chain_from_bits(pattern, "0" * length, boundary="periodic")
+        with pytest.raises(ValueError, match="is not a multiple of the period"):
+            transport_demo(chain, np.array([0.0, 1.0]), rounds)
+
+    @pytest.mark.parametrize(
+        "payload, rounds, message",
+        [
+            ([0.6, 0.8], True, "rounds must be an integer"),
+            ([0.6, 0.8], 1.5, "rounds must be an integer"),
+            ([0.6, 0.8], 1.0, "rounds must be an integer"),
+            ([np.nan, 0.0], 1, "payload norm"),
+            ([1.0, np.nan], 1, "payload norm"),
+            ([0.6, 0.6], 1, "payload norm"),
+        ],
+    )
+    def test_bad_inputs_rejected(self, payload, rounds, message):
+        chain = chain_from_bits("ABC", "000000")
+        with pytest.raises(ValueError, match=message):
+            transport_demo(chain, np.array(payload), rounds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=transport_cases())
+    def test_matches_fold_of_swap_pulses(self, case):
+        pattern, boundary, length, rounds, payload = case
+        loaded = np.zeros(1 << length, dtype=complex)
+        loaded[0], loaded[1 << (length - 1)] = payload
+        expected = CellChain(pattern, PureState(length, loaded), boundary)
+        period = len(pattern)
+        for j in list(range(period)) * rounds:
+            pulse = PairPulse(pattern[j], pattern[(j + 1) % period], SWAP_MATRIX)
+            expected = apply_pulse(expected, pulse)
+        chain = chain_from_bits(pattern, "0" * length, boundary)
+        kernel = mock.patch.object(
+            global_control, "_apply_in_place", side_effect=AssertionError("kernel pass")
+        )
+        with kernel:
+            moved = transport_demo(chain, payload, rounds)
+        assert np.array_equal(moved.state.amplitudes, expected.state.amplitudes)
+
 
 class TestPeakMemory:
     """A pulse, a species cooling, a transport run and a bulk measurement
@@ -473,6 +537,25 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * (1 << self.LENGTH) * 16 + (1 << 19)
+
+    # each builds its result in one new buffer and checks its norm there
+    ONE_VECTOR_OPERATIONS = {
+        "chain_from_bits": lambda ch, zero: chain_from_bits("ABC", "0" * zero.length, "periodic"),
+        "translate": lambda ch, zero: translate(ch, 3),
+        "transport": lambda ch, zero: transport_demo(zero, np.array([0.6, 0.8j]), 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ONE_VECTOR_OPERATIONS))
+    def test_peak_is_one_state_vector(self, chains, name):
+        operation = self.ONE_VECTOR_OPERATIONS[name]
+        operation(*chains)
+        tracemalloc.start()
+        try:
+            operation(*chains)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << self.LENGTH) * 16 + (1 << 19)
 
     def test_x_pulse_peak_is_one_and_a_half_state_vectors(self, chains):
         # X saves one half and writes the other half from it in place
