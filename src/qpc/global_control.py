@@ -10,7 +10,10 @@ to |0>).  ``transport_demo`` shows the conveyor effect: a cycle of SWAP
 pair pulses moves a payload one full period per round without ever
 addressing a single cell.  A SWAP of two |0> cells does nothing, so that
 result has a closed form, written directly; a periodic chain must then be
-a whole number of periods long, as for translation.
+a whole number of periods long, as for translation.  ``run_script`` parses
+a whole text script into these operations and checks it against the chain
+(species in its pattern, gate names, ``R`` fields) before the first
+instruction runs, then runs the list in one loop.
 
 The state convention matches the rest of the package: cell i is qubit i,
 most significant bit first.  Basis states, the unitary check of pulse
@@ -91,7 +94,7 @@ class CellChain:
         return self.pattern[cell % self.period]
 
     def cells_of(self, species: str) -> tuple[int, ...]:
-        if species not in self.pattern:
+        if len(species) != 1 or species not in self.pattern:
             raise ValueError(f"species {species!r} not in pattern {self.pattern!r}")
         return tuple(i for i in range(self.length) if self.pattern[i % self.period] == species)
 
@@ -132,6 +135,8 @@ class PairPulse:
 
 
 GlobalPulse = Union[SpeciesPulse, PairPulse]
+# one script instruction: a pulse, or the species a MEASURE or COOL acts on
+Operation = Union[GlobalPulse, str]
 
 
 def adjacent_pairs(chain: CellChain, first: str, second: str) -> tuple[tuple[int, int], ...]:
@@ -255,6 +260,7 @@ def translate(chain: CellChain, offset: int) -> CellChain:
     """
     if chain.boundary != "periodic":
         raise ValueError("translation is only defined on periodic chains")
+    _check_integer(offset, "offset")
     _check_whole_periods(chain)
     if offset % chain.period != 0:
         raise ValueError(f"offset {offset} is not a multiple of the period {chain.period}")
@@ -304,28 +310,58 @@ def transport_demo(chain: CellChain, payload: np.ndarray, rounds: int) -> CellCh
 
 _NAMED_SINGLE = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "H": HADAMARD}
 _NAMED_PAIR = {"CZ": CZ_MATRIX, "SWAP": SWAP_MATRIX}
+_OPERANDS = {"PULSE": "a species and a gate", "PAIR": "two species and CZ or SWAP",
+             "MEASURE": "a species", "COOL": "a species"}
 
 
-def _parse_single_op(fields: list[str], line_no: int) -> np.ndarray:
+def _single_matrix(fields: list[str], line_no: int) -> np.ndarray:
     name = fields[0].upper()
-    if name in _NAMED_SINGLE:
-        if len(fields) != 1:
-            raise ParseError(line_no, f"{name} takes no arguments")
+    if name in _NAMED_SINGLE and len(fields) == 1:
         return _NAMED_SINGLE[name]
-    if name == "R":
-        if len(fields) != 5:
-            raise ParseError(line_no, "R expects kx ky kz m")
-        kx, ky, kz, m = parse_gate_fields(fields[1:], line_no)
+    if name != "R" or len(fields) != 5:
+        raise ValueError(f"gate must be X, Y, Z, H or R kx ky kz m, got {' '.join(fields)!r}")
+    kx, ky, kz, m = parse_gate_fields(fields[1:], line_no)
+    return RotationGate(0, (kx, ky, kz), m).matrix()
+
+
+def _parse_script(chain: CellChain, text: str) -> list[tuple[Operation, dict]]:
+    """Each instruction line of a script as (operation, event record).
+
+    The operation is a SpeciesPulse, a PairPulse, or the species that a
+    MEASURE or COOL acts on.  Raises ParseError with the 1-based line number
+    at the first malformed line: unknown instruction or gate, wrong field
+    count, bad ``R`` field, or a species not in the chain's pattern.
+    """
+    script = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        op, *args = (field.upper() for field in fields)
         try:
-            return RotationGate(0, (kx, ky, kz), m).matrix()
+            if op == "PULSE" and len(args) >= 2:
+                operation = SpeciesPulse(args[0], _single_matrix(fields[2:], line_no))
+                event = {"op": "pulse", "species": args[0], "gate": " ".join(args[1:])}
+            elif op == "PAIR" and len(args) == 3 and args[2] in _NAMED_PAIR:
+                operation = PairPulse(args[0], args[1], _NAMED_PAIR[args[2]])
+                event = {"op": "pair", "first": args[0], "second": args[1], "gate": args[2]}
+            elif op in ("MEASURE", "COOL") and len(args) == 1:
+                operation, event = args[0], {"op": op.lower(), "species": args[0]}
+            elif op in _OPERANDS:
+                raise ValueError(f"{op} expects {_OPERANDS[op]}")
+            else:
+                raise ValueError(f"unknown instruction {fields[0]!r}")
+            for species in args[:2] if op == "PAIR" else args[:1]:
+                chain.cells_of(species)
+        except ParseError:
+            raise
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-    raise ParseError(line_no, f"unknown gate {fields[0]!r}")
+        script.append((operation, event))
+    return script
 
 
-def run_script(
-    chain: CellChain, text: str, seed: int = 0
-) -> tuple[CellChain, list[dict]]:
+def run_script(chain: CellChain, text: str, seed: int = 0) -> tuple[CellChain, list[dict]]:
     """Execute a pulse/measure/cool script against a chain.
 
     Instruction lines (``#`` comments and blanks ignored)::
@@ -335,61 +371,22 @@ def run_script(
         MEASURE <species>
         COOL <species>
 
-    ``R`` fields follow the ``.qprog`` rules (ASCII digits only).  Returns
-    the final chain and one event record per instruction (bulk measurement
-    outcomes included).  All randomness comes from ``seed``.
+    ``R`` fields follow the ``.qprog`` rules (ASCII digits only).  The whole
+    script is parsed and checked against the chain (species in its pattern,
+    gate names, ``R`` fields) before the first instruction runs, so a
+    malformed line raises ParseError with its line number and nothing runs.
+    Returns the final chain and one event record per instruction (bulk
+    measurement outcomes included).  All randomness comes from ``seed``.
     """
     _check_integer(seed, "seed")
+    script = _parse_script(chain, text)
     rng = np.random.default_rng(seed)
-    events: list[dict] = []
-    current = chain
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        op = fields[0].upper()
-        try:
-            if op == "PULSE":
-                if len(fields) < 3:
-                    raise ParseError(line_no, "PULSE expects a species and a gate")
-                mat = _parse_single_op(fields[2:], line_no)
-                current = apply_pulse(current, SpeciesPulse(fields[1].upper(), mat))
-                events.append(
-                    {
-                        "op": "pulse",
-                        "species": fields[1].upper(),
-                        "gate": " ".join(fields[2:]).upper(),
-                    }
-                )
-            elif op == "PAIR":
-                if len(fields) != 4:
-                    raise ParseError(line_no, "PAIR expects two species and a gate")
-                name = fields[3].upper()
-                if name not in _NAMED_PAIR:
-                    raise ParseError(line_no, f"unknown pair gate {fields[3]!r}")
-                pulse = PairPulse(fields[1].upper(), fields[2].upper(), _NAMED_PAIR[name])
-                current = apply_pulse(current, pulse)
-                events.append(
-                    {"op": "pair", "first": fields[1].upper(), "second": fields[2].upper(), "gate": name}
-                )
-            elif op == "MEASURE":
-                if len(fields) != 2:
-                    raise ParseError(line_no, "MEASURE expects a species")
-                result = _bulk_measure_rng(current, fields[1].upper(), rng)
-                current = result.chain
-                events.append(
-                    {"op": "measure", "species": result.species, "weight": result.weight}
-                )
-            elif op == "COOL":
-                if len(fields) != 2:
-                    raise ParseError(line_no, "COOL expects a species")
-                current = _cool_species_rng(current, fields[1].upper(), rng)
-                events.append({"op": "cool", "species": fields[1].upper()})
-            else:
-                raise ParseError(line_no, f"unknown instruction {fields[0]!r}")
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(line_no, str(exc)) from None
-    return current, events
+    for operation, event in script:
+        if event["op"] == "measure":
+            result = _bulk_measure_rng(chain, operation, rng)
+            chain, event["weight"] = result.chain, result.weight
+        elif event["op"] == "cool":
+            chain = _cool_species_rng(chain, operation, rng)
+        else:
+            chain = apply_pulse(chain, operation)
+    return chain, [event for _, event in script]

@@ -165,6 +165,17 @@ class TestGc:
         assert excitation[4] == pytest.approx(1.0, abs=1e-10)
         assert excitation[0] == pytest.approx(0.0, abs=1e-10)
 
+    def test_malformed_script_runs_nothing(self, tmp_path, capsys):
+        script = tmp_path / "bad.gcs"
+        script.write_text("PULSE A H\nPULSE B H\nWOBBLE\n")
+        code = run_cli(
+            ["gc", "--pattern", "ABC", "--length", "6", "--script", str(script)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 3: ")
+
     def test_bits_length_guard(self, tmp_path, capsys):
         script = tmp_path / "noop.gcs"
         script.write_text("COOL A\n")

@@ -141,6 +141,92 @@ SCRIPT_TABLE = {
 }
 
 
+# the instruction mix of the benchmark's gc scripts
+SCRIPT_OPS = ("PULSE", "PAIR", "MEASURE", "COOL")
+NAMED_PULSES = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "H": HADAMARD}
+NAMED_PAIRS = {"CZ": CZ_MATRIX, "SWAP": SWAP_MATRIX}
+
+
+@st.composite
+def script_cases(draw):
+    """A random state on an AB, BA, ABC or CAB chain (open, 4-9 cells, or
+    periodic, whole periods), a seed and 1-12 instructions, each as its
+    canonical text, its operation and its text with random lower case, a
+    trailing comment and blank lines around it."""
+    pattern = draw(st.sampled_from(["AB", "BA", "ABC", "CAB"]))
+    period = len(pattern)
+    if draw(st.booleans()):
+        boundary, length = "open", draw(st.integers(4, 9))
+    else:
+        boundary, length = "periodic", period * draw(st.integers(1, 9 // period))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=1 << length) + 1j * rng.normal(size=1 << length)
+    chain = CellChain(pattern, PureState(length, raw / np.linalg.norm(raw)), boundary)
+    instructions = []
+    for op in draw(st.lists(st.sampled_from(SCRIPT_OPS), min_size=1, max_size=12)):
+        species = draw(st.sampled_from(pattern))
+        if op == "PULSE" and draw(st.booleans()):
+            gate = draw(st.sampled_from(sorted(NAMED_PULSES)))
+            operation = SpeciesPulse(species, NAMED_PULSES[gate])
+        elif op == "PULSE":
+            m = draw(st.integers(2, 6))
+            k = tuple(draw(st.integers(0, (1 << m) - 1)) for _ in range(3))
+            gate = "R " + " ".join(map(str, k)) + f" {m}"
+            operation = SpeciesPulse(species, RotationGate(0, k, m).matrix())
+        elif op == "PAIR":
+            second = draw(st.sampled_from([s for s in pattern if s != species]))
+            gate = draw(st.sampled_from(sorted(NAMED_PAIRS)))
+            operation = PairPulse(species, second, NAMED_PAIRS[gate])
+            species += " " + second
+        else:
+            gate, operation = "", species
+        canonical = " ".join(filter(None, (op, species, gate)))
+        words = [w.lower() if draw(st.booleans()) else w for w in canonical.split()]
+        text = draw(st.sampled_from([" ", "\t", "  "])).join(words)
+        text += draw(st.sampled_from(["", "  # note", "\t# PULSE Q X", "#"]))
+        blanks = draw(st.sampled_from(["", "\n", "   \n", "# comment\n"]))
+        instructions.append((canonical, operation, blanks + text + "\n"))
+    return chain, draw(st.integers(0, 2**32 - 1)), instructions
+
+
+def fold_script(chain, seed, instructions):
+    """Each instruction applied as it comes, on one generator: the
+    per-line fold that ``run_script`` replaces."""
+    rng = np.random.default_rng(seed)
+    events = []
+    for canonical, operation, _ in instructions:
+        op, *fields = canonical.split()
+        if op == "MEASURE":
+            result = global_control._bulk_measure_rng(chain, operation, rng)
+            chain = result.chain
+            events.append({"op": "measure", "species": operation, "weight": result.weight})
+        elif op == "COOL":
+            chain = global_control._cool_species_rng(chain, operation, rng)
+            events.append({"op": "cool", "species": operation})
+        elif op == "PULSE":
+            chain = apply_pulse(chain, operation)
+            events.append({"op": "pulse", "species": fields[0], "gate": " ".join(fields[1:])})
+        else:
+            chain = apply_pulse(chain, operation)
+            events.append({"op": "pair", "first": fields[0], "second": fields[1], "gate": fields[2]})
+    return chain, events
+
+
+# (script, chain pattern, 1-based line of the first malformed line)
+MALFORMED_SCRIPTS = [
+    ("PULSE A H\nPULSE B H\nWOBBLE", "AB", 3),
+    ("PULSE A H\nPULSE B H\nWOBBLE", "ABC", 3),
+    ("PULSE A X\nMEASURE A\nPULSE C X", "AB", 3),
+    ("PULSE A X\nPAIR A C SWAP", "AB", 2),
+    ("PULSE A X\nPAIR A B FOO", "AB", 2),
+    ("PULSE A X\nPAIR A B FOO", "ABC", 2),
+    ("PULSE A X\nPULSE B R 1 0 0 \uff13", "AB", 2),
+    ("PULSE A X\nPULSE B R 1 0 0 \uff13", "ABC", 2),
+    ("PULSE A X\nMEASURE", "AB", 2),
+    ("PULSE A X\nMEASURE", "ABC", 2),
+]
+
+
 @st.composite
 def transport_cases(draw):
     """A pattern, boundary and length of 2-10 cells (a whole number of
@@ -395,6 +481,14 @@ class TestTranslation:
         with pytest.raises(ValueError):
             translate(chain, 1)
 
+    @pytest.mark.parametrize("offset", [2.0, 3.0, False, True])
+    def test_offset_must_be_an_integer(self, offset):
+        chain = chain_from_bits("AB", "1000", boundary="periodic")
+        with pytest.raises(ValueError, match="offset must be an integer"):
+            translate(chain, offset)
+        moved = translate(chain, np.int64(2))
+        assert abs(moved.state.amplitudes[int("0010", 2)]) == 1.0
+
 
 class TestTransport:
     def test_payload_moves_one_period_per_round(self):
@@ -625,6 +719,40 @@ class TestScripts:
         # H and R products round differently from a tensordot
         atol = 0.0 if name == "exact" else 1e-15
         assert np.max(np.abs(final.state.amplitudes - expected)) <= atol
+
+    @pytest.mark.parametrize("text, pattern, line_no", MALFORMED_SCRIPTS)
+    def test_nothing_runs_before_a_parse_error(self, text, pattern, line_no):
+        calls = []
+
+        def recorded(name):
+            original = getattr(global_control, name)
+
+            def record(*args):
+                calls.append(name)
+                return original(*args)
+            return mock.patch.object(global_control, name, record)
+
+        chain = chain_from_bits(pattern, "0" * 6)
+        with recorded("apply_pulse"), recorded("_bulk_measure_rng"), recorded("_cool_species_rng"):
+            with pytest.raises(ParseError) as info:
+                run_script(chain, text)
+        assert info.value.line_no == line_no
+        assert calls == []
+
+    @pytest.mark.parametrize("text", ["PULSE AB X", "MEASURE BC", "COOL ABC", "PAIR AB C CZ"])
+    def test_species_are_single_letters(self, text):
+        with pytest.raises(ParseError, match="not in pattern"):
+            run_script(chain_from_bits("ABC", "000000"), text)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=script_cases())
+    def test_matches_per_line_fold(self, case):
+        chain, seed, instructions = case
+        text = "".join(line for _, _, line in instructions)
+        final, events = run_script(chain, text, seed=seed)
+        expected, expected_events = fold_script(chain, seed, instructions)
+        assert events == expected_events
+        assert np.array_equal(final.state.amplitudes, expected.state.amplitudes)
 
     def test_script_determinism(self):
         chain = chain_from_bits("ABC", "000000")
