@@ -112,7 +112,7 @@ class SpeciesPulse:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.species not in SPECIES_ALPHABET:
+        if len(self.species) != 1 or self.species not in SPECIES_ALPHABET:
             raise ValueError(f"unknown species {self.species!r}")
         object.__setattr__(self, "matrix", checked_unitary(self.matrix, 2, "species pulse"))
 
@@ -127,7 +127,7 @@ class PairPulse:
 
     def __post_init__(self) -> None:
         for s in (self.first, self.second):
-            if s not in SPECIES_ALPHABET:
+            if len(s) != 1 or s not in SPECIES_ALPHABET:
                 raise ValueError(f"unknown species {s!r}")
         if self.first == self.second:
             raise ValueError("pair pulse needs two distinct species")
@@ -339,20 +339,24 @@ def _parse_script(chain: CellChain, text: str) -> list[tuple[Operation, dict]]:
             continue
         op, *args = (field.upper() for field in fields)
         try:
+            # species are checked against the chain before a pulse is built
             if op == "PULSE" and len(args) >= 2:
-                operation = SpeciesPulse(args[0], _single_matrix(fields[2:], line_no))
+                matrix = _single_matrix(fields[2:], line_no)
+                chain.cells_of(args[0])
+                operation = SpeciesPulse(args[0], matrix)
                 event = {"op": "pulse", "species": args[0], "gate": " ".join(args[1:])}
             elif op == "PAIR" and len(args) == 3 and args[2] in _NAMED_PAIR:
+                chain.cells_of(args[0])
+                chain.cells_of(args[1])
                 operation = PairPulse(args[0], args[1], _NAMED_PAIR[args[2]])
                 event = {"op": "pair", "first": args[0], "second": args[1], "gate": args[2]}
             elif op in ("MEASURE", "COOL") and len(args) == 1:
+                chain.cells_of(args[0])
                 operation, event = args[0], {"op": op.lower(), "species": args[0]}
             elif op in _OPERANDS:
                 raise ValueError(f"{op} expects {_OPERANDS[op]}")
             else:
                 raise ValueError(f"unknown instruction {fields[0]!r}")
-            for species in args[:2] if op == "PAIR" else args[:1]:
-                chain.cells_of(species)
         except ParseError:
             raise
         except ValueError as exc:

@@ -55,6 +55,28 @@ def sequential_walk(n, schedule):
     return abs(psi[0]) ** 2, float(np.linalg.norm(psi))
 
 
+def full_step_search(instance, kind, target, rel_tol, time_cap):
+    """``runtime_to_target``'s doubling and bisection with every probe one
+    ``default_steps(T)`` walk, the reference for its coarse probes."""
+
+    def reaches(total_time):
+        schedule = Schedule(kind, total_time, default_steps(total_time))
+        return evolve(instance, schedule).final_overlap >= target
+
+    lo, hi = 0.0, 1.0
+    while not reaches(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > time_cap:
+            raise RuntimeError(f"time cap {time_cap} hit")
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestInstanceAndSchedule:
     def test_counts(self):
         inst = GroverInstance("0110")
@@ -331,40 +353,90 @@ class TestRuntimeScaling:
     def test_runtime_table(self, kind, n):
         assert runtime_to_target(GroverInstance("0" * n), kind) == RUNTIMES[kind][n]
 
-    def test_every_probe_goes_through_evolve(self, monkeypatch):
-        # tracers swap ``qpc.adiabatic.evolve`` to count search steps, so
-        # the search must reach it by that name on every probe
-        probes = []
+    @staticmethod
+    def recorded_search(monkeypatch, instance, kind):
+        """Run the search with ``qpc.adiabatic.evolve`` swapped for a
+        recorder; return the T and every ``(schedule, overlap)`` walked."""
+        walks = []
         real_evolve = adiabatic.evolve
 
-        def traced(instance, schedule):
+        def recorded(instance, schedule):
             report = real_evolve(instance, schedule)
-            probes.append((schedule, report.final_overlap))
+            walks.append((schedule, report.final_overlap))
             return report
 
-        monkeypatch.setattr(adiabatic, "evolve", traced)
-        t_star = runtime_to_target(GroverInstance("0" * 6), "linear")
-        # replay doubling then bisection on the recorded overlaps
-        replay = iter(probes)
+        monkeypatch.setattr(adiabatic, "evolve", recorded)
+        return runtime_to_target(instance, kind), walks
 
-        def overlap_at(total_time):
+    def test_every_probe_goes_through_evolve(self, monkeypatch):
+        # tracers swap ``qpc.adiabatic.evolve`` to count search steps, so
+        # the search must reach it by that name on every walk of a probe
+        t_star, walks = self.recorded_search(monkeypatch, GroverInstance("0" * 8), "linear")
+        # replay doubling then bisection, each probe by the coarse rule, on
+        # the recorded overlaps
+        replay = iter(walks)
+        decided = {"coarse": 0, "full": 0}
+
+        def walk(total_time, steps):
             schedule, overlap = next(replay)
-            assert schedule.total_time == total_time
-            assert schedule.steps == default_steps(total_time)
+            assert (schedule.kind, schedule.total_time, schedule.steps) == (
+                "linear", total_time, steps)
             return overlap
 
+        def reaches(total_time):
+            steps = default_steps(total_time)
+            coarse = max(10, math.ceil(total_time / adiabatic._COARSE_DT["linear"]))
+            if steps - 3 * coarse > adiabatic._COARSE_SAVING:
+                o_k = walk(total_time, coarse)
+                o_2k = walk(total_time, 2 * coarse)
+                if abs(o_2k - 0.9) > (adiabatic._COARSE_MARGIN * abs(o_2k - o_k)
+                                      + adiabatic._COARSE_FLOOR):
+                    decided["coarse"] += 1
+                    return o_2k >= 0.9
+            decided["full"] += 1
+            return walk(total_time, steps) >= 0.9
+
         lo, hi = 0.0, 1.0
-        while overlap_at(hi) < 0.9:
+        while not reaches(hi):
             lo, hi = hi, 2.0 * hi
         while hi - lo > 1e-2 * hi:
             mid = 0.5 * (lo + hi)
-            if overlap_at(mid) >= 0.9:
+            if reaches(mid):
                 hi = mid
             else:
                 lo = mid
         assert next(replay, None) is None
-        assert hi == t_star
-        assert len(probes) > 10
+        assert hi == t_star == RUNTIMES["linear"][8]
+        assert decided["coarse"] > 5 and decided["full"] > 5
+
+    def test_linear_n12_search_steps(self, monkeypatch):
+        # a full-step walk on every probe summed 2,285,280 steps
+        t_star, walks = self.recorded_search(monkeypatch, GroverInstance("0" * 12), "linear")
+        assert t_star == RUNTIMES["linear"][12]
+        assert sum(schedule.steps for schedule, _ in walks) <= 400_000
+
+    # about a quarter of the examples probe a T long enough for coarse walks
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        bits=st.integers(0, (1 << 12) - 1),
+        kind=st.sampled_from(["linear", "local"]),
+        # the target sits 10**-digits of the way from 1 back to 1/N
+        digits=st.floats(1e-3, 9.0),
+        log_tol=st.floats(-4.0, math.log10(0.3)),
+        log_cap=st.floats(2.0, math.log10(5e4)),
+    )
+    def test_same_runtime_as_full_step_search(self, n, bits, kind, digits, log_tol, log_cap):
+        inst = GroverInstance(format(bits % (1 << n), f"0{n}b"))
+        target = 1.0 - (1.0 - 1.0 / inst.size) * 10.0 ** -digits
+        options = {"rel_tol": 10.0 ** log_tol, "time_cap": 10.0 ** log_cap}
+        try:
+            expected = full_step_search(inst, kind, target, **options)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                runtime_to_target(inst, kind, target, **options)
+        else:
+            assert runtime_to_target(inst, kind, target, **options) == expected
 
     def test_exact_target_rejected(self):
         with pytest.raises(ValueError):

@@ -337,6 +337,18 @@ class TestPulses:
         with pytest.raises(ValueError):
             PairPulse("A", "A", SWAP_MATRIX)
 
+    @pytest.mark.parametrize("species", ["AB", "", "ABC"])
+    @pytest.mark.parametrize("build", [
+        lambda s: SpeciesPulse(s, PAULI_X),
+        lambda s: PairPulse(s, "C", CZ_MATRIX),
+        lambda s: PairPulse("C", s, CZ_MATRIX),
+    ], ids=["species", "pair-first", "pair-second"])
+    def test_species_must_be_one_letter(self, build, species):
+        # a substring of the alphabet is not a species: "AB" would address
+        # no cell and leave the chain silently unchanged
+        with pytest.raises(ValueError, match="unknown species"):
+            build(species)
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             SpeciesPulse("A", np.ones((2, 2), dtype=complex))
