@@ -115,6 +115,8 @@ def _cmd_grover(args: argparse.Namespace) -> int:
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
+    if args.length < 2:
+        raise ValueError(f"--length {args.length} must be at least 2")
     bits = args.bits if args.bits is not None else "0" * args.length
     if len(bits) != args.length:
         raise ValueError(f"--bits {bits!r} does not match --length {args.length}")

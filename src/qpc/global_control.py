@@ -16,17 +16,29 @@ a whole text script into these operations and checks it against the chain
 instruction runs, then runs the list in one loop.
 
 The state convention matches the rest of the package: cell i is qubit i,
-most significant bit first.  Basis states, the unitary check of pulse
-matrices, the in-place kernel and the measure-and-flip reset come from
-``statevec`` and ``program_ir``; a pulse acts on one private copy of the
-state.  This module adds only what is specific to species.
+most significant bit first.  A chain holds its state as a frame
+(``_Frame``): a definite bit for every cell in a basis state, times one
+amplitude vector over the other, *active*, cells in a recorded order.  A
+chain from ``chain_from_bits`` starts with no active cell; a chain built
+from a dense ``PureState`` has every cell active, in cell order, and its
+pulses and measurements make the dense engine's kernel calls on the same
+vector.  A monomial pulse (X, Y, Z, diagonal R; CZ, SWAP) keeps a definite
+cell definite: it changes bits and one global phase, and a SWAP with an
+active neighbour moves that cell's label, not its data.  Any other pulse
+activates the cell (the vector becomes vector x U|b>).  Cooling a cell
+takes it out of the vector, which halves it.  Every operation writes a new
+compact vector and checks its norm as ``PureState`` does; ``state`` builds
+the dense ``PureState`` on its first read and keeps it.  The unitary check
+of pulse matrices, the in-place kernel and the basis-input checks come
+from ``statevec`` and ``program_ir``.  This module adds only what is
+specific to species.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,11 +55,13 @@ from .program_ir import (
 )
 from .statevec import (
     PureState,
+    _NORM_TOL,
     _SWAP,
     _apply_in_place,
-    init_from_bitstring,
+    _check_input,
+    _is_monomial,
+    _parts,
     marginal_probabilities,
-    measure_and_flip,
 )
 
 SPECIES_ALPHABET = "ABC"
@@ -58,31 +72,147 @@ SWAP_MATRIX = _SWAP
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True, eq=False)
+class _Frame:
+    """A chain state: |vec> on the active cells times |bits[c]> on every
+    other cell c.
+
+    ``active`` lists the active cells in the vector's qubit order, first
+    most significant; ``bits`` has one entry per cell, 0 for an active one;
+    ``vec`` holds the 2**len(active) amplitudes, global phase included.  A
+    frame is immutable: its vector is read-only, and was checked to have
+    unit norm within ``statevec``'s tolerance.
+    """
+
+    __slots__ = ("bits", "active", "vec")
+
+    def __init__(self, bits: Sequence[int], active: Sequence[int], vec: np.ndarray) -> None:
+        norm = float(np.linalg.norm(vec))
+        # written so that a NaN norm fails the check
+        if not abs(norm - 1.0) <= _NORM_TOL:
+            raise ValueError(f"state norm {norm} deviates from 1 beyond {_NORM_TOL}")
+        vec.setflags(write=False)
+        self.bits, self.active, self.vec = tuple(bits), tuple(active), vec
+
+    def dense(self) -> np.ndarray:
+        """The 2**n amplitudes, n = len(bits); the vector itself when every
+        cell is active in cell order."""
+        n, k = len(self.bits), len(self.active)
+        if self.active == tuple(range(n)):
+            return self.vec
+        full = np.zeros((2,) * n, dtype=complex)
+        # the axes this index leaves are the active cells, ascending
+        index = tuple(slice(None) if c in self.active else b for c, b in enumerate(self.bits))
+        full[index] = self.vec.reshape((2,) * k).transpose(np.argsort(self.active))
+        return full.reshape(-1)
+
+    def apply(self, targets: Sequence[tuple[int, ...]], matrix: np.ndarray) -> "_Frame":
+        """The frame after ``matrix`` on each target: one cell (2x2) or an
+        ordered pair of cells (4x4, index order as listed), in turn."""
+        bits, active, vec = list(self.bits), list(self.active), np.array(self.vec)
+        monomial = _is_monomial(matrix)
+        phase = 1.0
+        for qubits in targets:
+            live = [c for c in qubits if c in active]
+            if len(live) == len(qubits):
+                _apply_in_place(vec, len(active), [active.index(c) for c in qubits], matrix)
+                continue
+            col = 0
+            for c in qubits:
+                col = 2 * col + bits[c]
+            if not live and monomial:
+                row = int(np.flatnonzero(matrix[:, col])[0])
+                phase *= matrix[row, col]
+                for c in reversed(qubits):
+                    bits[c], row = row & 1, row >> 1
+                continue
+            if live:  # a pair of one active cell s and one definite cell d
+                s = live[0]
+                d = qubits[0] if s == qubits[1] else qubits[1]
+                op = matrix if d == qubits[0] else _swap_order(matrix)
+                # the image of |bits[d]>_d (x) |s>, indexed [d', s', s]
+                block = op[:, 2 * bits[d]:2 * bits[d] + 2].reshape(2, 2, 2)
+                d_out = np.flatnonzero(np.abs(block).sum(axis=(1, 2)))
+                s_out = np.flatnonzero(np.abs(block).sum(axis=(0, 2)))
+                slot = active.index(s)
+                if len(d_out) == 1:  # d stays definite (CZ): a 2x2 on s
+                    bits[d] = int(d_out[0])
+                    _apply_in_place(vec, len(active), (slot,), block[bits[d]])
+                    continue
+                if len(s_out) == 1:  # s turns definite (SWAP): d takes its slot
+                    bits[s], bits[d], active[slot] = int(s_out[0]), 0, d
+                    _apply_in_place(vec, len(active), (slot,), block[:, bits[s]])
+                    continue
+                vec = np.multiply.outer(vec, np.eye(2)[bits[d]]).reshape(-1)
+                bits[d] = 0
+                active.append(d)
+                _apply_in_place(vec, len(active), [active.index(c) for c in qubits], matrix)
+                continue
+            # definite cells under a non-monomial gate: vec (x) matrix|bits>
+            vec = np.multiply.outer(vec, matrix[:, col]).reshape(-1)
+            for c in qubits:
+                bits[c] = 0
+                active.append(c)
+        if phase != 1.0:
+            vec *= phase
+        return _Frame(bits, active, vec)
+
+
+def _swap_order(matrix: np.ndarray) -> np.ndarray:
+    """A 4x4 matrix with its two qubits' index order exchanged."""
+    return matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+
+
 class CellChain:
-    """A chain of qubit cells with a cyclic species pattern."""
+    """A chain of qubit cells with a cyclic species pattern (immutable).
 
-    pattern: str
-    state: PureState
-    boundary: str = "open"
+    ``CellChain(pattern, state, boundary)`` takes a dense ``PureState``;
+    the operations of this module return chains that hold a frame and
+    build ``state`` on its first read.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.pattern) not in (2, 3):
-            raise ValueError(f"species pattern {self.pattern!r} must have period 2 or 3")
-        if len(set(self.pattern)) != len(self.pattern) or any(
-            ch not in SPECIES_ALPHABET for ch in self.pattern
-        ):
-            raise ValueError(
-                f"pattern {self.pattern!r} must use distinct letters from {SPECIES_ALPHABET}"
-            )
-        if self.boundary not in BOUNDARIES:
+    __slots__ = ("pattern", "boundary", "_frame", "_state")
+
+    def __init__(self, pattern: str, state: PureState, boundary: str = "open") -> None:
+        frame = _Frame((0,) * state.n, range(state.n), state.amplitudes)
+        self._setup(pattern, frame, boundary, state)
+
+    @classmethod
+    def _of(cls, pattern: str, frame: _Frame, boundary: str) -> "CellChain":
+        chain = cls.__new__(cls)
+        chain._setup(pattern, frame, boundary, None)
+        return chain
+
+    def _setup(
+        self, pattern: str, frame: _Frame, boundary: str, state: Optional[PureState]
+    ) -> None:
+        if len(pattern) not in (2, 3):
+            raise ValueError(f"species pattern {pattern!r} must have period 2 or 3")
+        if len(set(pattern)) != len(pattern) or any(ch not in SPECIES_ALPHABET for ch in pattern):
+            raise ValueError(f"pattern {pattern!r} must use distinct letters from {SPECIES_ALPHABET}")
+        if boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
-        if self.state.n < 2:
+        if len(frame.bits) < 2:
             raise ValueError("a chain needs at least 2 cells")
+        for name, value in (("pattern", pattern), ("boundary", boundary),
+                            ("_frame", frame), ("_state", state)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CellChain is immutable; cannot set {name!r}")
+
+    def _with(self, frame: _Frame) -> "CellChain":
+        return CellChain._of(self.pattern, frame, self.boundary)
+
+    @property
+    def state(self) -> PureState:
+        """The dense state, built from the frame on the first read."""
+        if self._state is None:
+            object.__setattr__(self, "_state", PureState._adopt(self.length, self._frame.dense()))
+        return self._state
 
     @property
     def length(self) -> int:
-        return self.state.n
+        return len(self._frame.bits)
 
     @property
     def period(self) -> int:
@@ -96,12 +226,15 @@ class CellChain:
     def cells_of(self, species: str) -> tuple[int, ...]:
         if len(species) != 1 or species not in self.pattern:
             raise ValueError(f"species {species!r} not in pattern {self.pattern!r}")
-        return tuple(i for i in range(self.length) if self.pattern[i % self.period] == species)
+        return tuple(range(self.pattern.index(species), self.length, self.period))
 
 
 def chain_from_bits(pattern: str, bits: str, boundary: str = "open") -> CellChain:
-    """Chain in a computational basis state, one character per cell."""
-    return CellChain(pattern, init_from_bitstring(bits), boundary)
+    """Chain in a computational basis state, one character per cell; no
+    2**L vector is allocated."""
+    _check_input(bits, 1)
+    frame = _Frame([int(b) for b in bits], (), np.ones(1, dtype=complex))
+    return CellChain._of(pattern, frame, boundary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,10 +303,7 @@ def apply_pulse(chain: CellChain, pulse: GlobalPulse) -> CellChain:
         targets = adjacent_pairs(chain, pulse.first, pulse.second)
     else:
         raise ValueError(f"unknown pulse object {pulse!r}")
-    vec = np.array(chain.state.amplitudes)
-    for qubits in targets:
-        _apply_in_place(vec, chain.length, qubits, pulse.matrix)
-    return CellChain(chain.pattern, PureState._adopt(chain.length, vec), chain.boundary)
+    return chain._with(chain._frame.apply(targets, pulse.matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,16 +322,28 @@ class BulkResult:
             )
 
 
-def _weight_probabilities(chain: CellChain, species: str) -> tuple[np.ndarray, np.ndarray]:
-    """Hamming weight of each configuration of the species' cells (index
-    bits in cell order) and the probability of each weight, 0 to k."""
+def _species_slots(chain: CellChain, species: str) -> tuple[list[int], int]:
+    """Vector positions of the species' active cells, ascending, and the
+    summed bits of its definite cells."""
+    frame = chain._frame
     cells = chain.cells_of(species)
-    configs = np.arange(1 << len(cells))
-    config_weight = np.zeros(len(configs), dtype=np.int64)
-    for j in range(len(cells)):
+    slots = sorted(frame.active.index(c) for c in cells if c in frame.active)
+    return slots, sum(frame.bits[c] for c in cells)
+
+
+def _weight_probabilities(chain: CellChain, species: str) -> tuple[np.ndarray, np.ndarray]:
+    """Hamming weight of the species' cells in each configuration of its
+    active cells (index bits in vector order) and the probability of each
+    weight, 0 to k."""
+    frame = chain._frame
+    slots, fixed = _species_slots(chain, species)
+    configs = np.arange(1 << len(slots))
+    config_weight = np.full(len(configs), fixed, dtype=np.int64)
+    for j in range(len(slots)):
         config_weight += (configs >> j) & 1
-    marginal = marginal_probabilities(chain.state.probabilities(), chain.length, cells)
-    return config_weight, np.bincount(config_weight, weights=marginal, minlength=len(cells) + 1)
+    marginal = marginal_probabilities(np.abs(frame.vec) ** 2, len(frame.active), slots)
+    k = len(chain.cells_of(species))
+    return config_weight, np.bincount(config_weight, weights=marginal, minlength=k + 1)
 
 
 def _bulk_measure_rng(
@@ -210,15 +352,15 @@ def _bulk_measure_rng(
     config_weight, w_probs = _weight_probabilities(chain, species)
     draw = np.clip(w_probs, 0.0, None)
     w = int(rng.choice(len(w_probs), p=draw / draw.sum()))
-    # collapse one private copy in place: a factor per configuration of the
-    # species' cells, broadcast over the other cells
+    # collapse a copy in place: a factor per configuration of the species'
+    # active cells, broadcast over the other active cells
     scale = np.where(config_weight == w, 1.0 / math.sqrt(w_probs[w]), 0.0)
-    n = chain.length
-    cells = chain.cells_of(species)
-    vec = np.array(chain.state.amplitudes)
-    tensor = vec.reshape((2,) * n)
-    tensor *= scale.reshape([2 if c in cells else 1 for c in range(n)])
-    post = CellChain(chain.pattern, PureState._adopt(n, vec), chain.boundary)
+    frame = chain._frame
+    slots, _ = _species_slots(chain, species)
+    vec = np.array(frame.vec)
+    tensor = vec.reshape((2,) * len(frame.active))
+    tensor *= scale.reshape([2 if q in slots else 1 for q in range(len(frame.active))])
+    post = chain._with(_Frame(frame.bits, frame.active, vec))
     return BulkResult(species=species, weight=w, chain=post)
 
 
@@ -236,8 +378,31 @@ def bulk_measure(chain: CellChain, species: str, seed: int = 0) -> BulkResult:
 def _cool_species_rng(
     chain: CellChain, species: str, rng: np.random.Generator
 ) -> CellChain:
-    state = measure_and_flip(chain.state, chain.cells_of(species), rng)
-    return CellChain(chain.pattern, state, chain.boundary)
+    """Measure each cell of the species in turn, one ``rng.random()`` draw
+    each, and flip it when the outcome is 1, as ``statevec.measure_and_flip``
+    does.  A definite cell reads 1 with the vector's squared norm or 0; an
+    active cell leaves the vector, which keeps its measured half."""
+    frame = chain._frame
+    # every step that changes the vector writes a new one
+    bits, active, vec = list(frame.bits), list(frame.active), frame.vec
+    for q in chain.cells_of(species):
+        if q in active:
+            lo, hi = _parts(vec, len(active), (active.index(q),))
+            p1 = float(np.sum(np.abs(hi) ** 2))
+        else:
+            p1 = float(np.sum(np.abs(vec) ** 2)) if bits[q] else 0.0
+        p1 = min(max(p1, 0.0), 1.0)
+        outcome = int(rng.random() < p1)
+        p = p1 if outcome else 1.0 - p1
+        if p < 1e-12:
+            raise ValueError(f"outcome {outcome} on qubit {q} has probability {p:.3e}")
+        if q in active:
+            vec = ((hi if outcome else lo) / math.sqrt(p)).reshape(-1)
+            active.remove(q)
+        elif outcome:
+            vec = vec / math.sqrt(p)
+        bits[q] = 0
+    return chain._with(_Frame(bits, active, vec))
 
 
 def cool_species(chain: CellChain, species: str, seed: int = 0) -> CellChain:
@@ -256,7 +421,8 @@ def translate(chain: CellChain, offset: int) -> CellChain:
     """Cyclic shift of the state by ``offset`` cells (periodic chains only).
 
     The offset must be a multiple of the species period and the length a
-    multiple of the period, so cell species are preserved.
+    multiple of the period, so cell species are preserved.  Only the
+    frame's cell labels move: cell c's content goes to cell c + offset.
     """
     if chain.boundary != "periodic":
         raise ValueError("translation is only defined on periodic chains")
@@ -264,11 +430,10 @@ def translate(chain: CellChain, offset: int) -> CellChain:
     _check_whole_periods(chain)
     if offset % chain.period != 0:
         raise ValueError(f"offset {offset} is not a multiple of the period {chain.period}")
-    n = chain.length
-    psi = chain.state.amplitudes.reshape((2,) * n)
-    axes = [(k - offset) % n for k in range(n)]
-    vec = np.transpose(psi, axes).reshape(-1)
-    return CellChain(chain.pattern, PureState._adopt(n, vec), chain.boundary)
+    n, frame = chain.length, chain._frame
+    bits = [frame.bits[(c - offset) % n] for c in range(n)]
+    active = [(c + offset) % n for c in frame.active]
+    return chain._with(_Frame(bits, active, frame.vec))
 
 
 def transport_demo(chain: CellChain, payload: np.ndarray, rounds: int) -> CellChain:
@@ -280,14 +445,17 @@ def transport_demo(chain: CellChain, payload: np.ndarray, rounds: int) -> CellCh
     the payload one cell.  Every other cell holds |0>, and a SWAP of two
     |0> cells does nothing, so after k rounds the payload sits on cell
     period*k (mod length when periodic) and the rest stays |0>: that state
-    is written directly.  A periodic chain must be a whole number of
-    periods long, or its wrap-around pair breaks the cycle.
+    is written directly, as a frame whose one active cell holds the
+    payload.  A periodic chain must be a whole number of periods long, or
+    its wrap-around pair breaks the cycle.
     """
     _check_integer(rounds, "rounds")
     if rounds < 0:
         raise ValueError(f"rounds = {rounds} must be non-negative")
     _check_whole_periods(chain)
-    amp0 = chain.state.amplitudes[0]
+    frame = chain._frame
+    # the amplitude of |00...0>: zero when a definite cell holds 1
+    amp0 = 0.0 if any(frame.bits) else frame.vec[0]
     if abs(abs(amp0) - 1.0) > 1e-12:
         raise ValueError("transport needs a chain cooled to the all-zeros state")
     pay = np.array(payload, dtype=complex).reshape(-1)
@@ -300,9 +468,7 @@ def transport_demo(chain: CellChain, payload: np.ndarray, rounds: int) -> CellCh
     dest = chain.period * rounds
     if chain.boundary == "open" and dest > chain.length - 1:
         raise ValueError(f"payload would cross the open boundary: site {dest} > {chain.length - 1}")
-    vec = np.zeros(1 << chain.length, dtype=complex)
-    vec[0], vec[1 << (chain.length - 1 - dest % chain.length)] = pay
-    return CellChain(chain.pattern, PureState._adopt(chain.length, vec), chain.boundary)
+    return chain._with(_Frame((0,) * chain.length, (dest % chain.length,), pay))
 
 
 # ---------------------------------------------------------------------------

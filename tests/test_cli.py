@@ -21,6 +21,10 @@ from qpc.cli import run_cli
 
 BELL_TYPE = "R 0 0 32 0 8\nR 1 0 32 0 8\nCZ 0 1\n"
 
+# gc02.gcs is the script of the benchmark's seed 7 gc02 job; gc02-<boundary>.txt
+# is `qpc gc`'s text output for it on 18 ABC cells from zeros with --seed 1
+DATA = Path(__file__).resolve().parent / "data"
+
 
 @pytest.fixture
 def bell_file(tmp_path):
@@ -175,6 +179,25 @@ class TestGc:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: line 3: ")
+
+    @pytest.mark.parametrize("length", ["0", "1", "-2"])
+    def test_length_below_two_rejected(self, tmp_path, capsys, length):
+        script = tmp_path / "noop.gcs"
+        script.write_text("COOL A\n")
+        code = run_cli(["gc", "--pattern", "AB", "--length", length, "--script", str(script)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --length {length} must be at least 2\n"
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_text_output_is_pinned(self, capsys, boundary):
+        code = run_cli(
+            ["gc", "--pattern", "ABC", "--length", "18", "--seed", "1", "--boundary", boundary,
+             "--script", str(DATA / "gc02.gcs")]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == (DATA / f"gc02-{boundary}.txt").read_text(encoding="utf-8")
 
     def test_bits_length_guard(self, tmp_path, capsys):
         script = tmp_path / "noop.gcs"

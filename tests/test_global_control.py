@@ -29,6 +29,8 @@ from qpc.global_control import adjacent_pairs
 from qpc.program_ir import CZ_MATRIX, PAULI_X, PAULI_Y, PAULI_Z, ParseError
 from qpc.statevec import apply_cz, apply_two_qubit
 
+import gc_dense
+
 
 def dense_pairwise(chain, pairs, matrix):
     """Edge-by-edge dense application of a two-qubit op, as an oracle."""
@@ -210,6 +212,54 @@ def fold_script(chain, seed, instructions):
             chain = apply_pulse(chain, operation)
             events.append({"op": "pair", "first": fields[0], "second": fields[1], "gate": fields[2]})
     return chain, events
+
+
+# the instruction sequence of every benchmark gc script, so drawing from it
+# keeps the benchmark's shares of PULSE, PAIR, MEASURE and COOL
+BENCH_OPS = ("PULSE", "PAIR", "PULSE", "MEASURE", "PULSE", "PAIR", "COOL", "PULSE", "PAIR", "MEASURE")
+
+
+@st.composite
+def oracle_cases(draw):
+    """An AB, BA, ABC or CAB chain (open, 4-12 cells, or periodic, whole
+    periods up to 12 cells) in a random basis state or a random dense
+    state, a seed and a script of 1-12 instructions in the benchmark's mix:
+    half the pulses named (X, Y, Z, H), half ``R`` with m = 2..6."""
+    pattern = draw(st.sampled_from(["AB", "BA", "ABC", "CAB"]))
+    period = len(pattern)
+    if draw(st.booleans()):
+        boundary, length = "open", draw(st.integers(4, 12))
+    else:
+        boundary, length = "periodic", period * draw(st.integers(1, 12 // period))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        chain = chain_from_bits(pattern, "".join(rng.choice(["0", "1"], size=length)), boundary)
+    else:
+        raw = rng.normal(size=1 << length) + 1j * rng.normal(size=1 << length)
+        chain = CellChain(pattern, PureState(length, raw / np.linalg.norm(raw)), boundary)
+    lines = []
+    for op in draw(st.lists(st.sampled_from(BENCH_OPS), min_size=1, max_size=12)):
+        species = draw(st.sampled_from(pattern))
+        if op == "PULSE" and draw(st.booleans()):
+            lines.append(f"PULSE {species} {draw(st.sampled_from(sorted(NAMED_PULSES)))}")
+        elif op == "PULSE":
+            m = draw(st.integers(2, 6))
+            k = " ".join(str(draw(st.integers(0, (1 << m) - 1))) for _ in range(3))
+            lines.append(f"PULSE {species} R {k} {m}")
+        elif op == "PAIR":
+            second = draw(st.sampled_from([s for s in pattern if s != species]))
+            lines.append(f"PAIR {species} {second} {draw(st.sampled_from(sorted(NAMED_PAIRS)))}")
+        else:
+            lines.append(f"{op} {species}")
+    return chain, draw(st.integers(0, 2**32 - 1)), "\n".join(lines) + "\n"
+
+
+# seed 7's gc02 job of the benchmark's anneal-gc list: script, cells, seed
+GC02_SCRIPT = (
+    "PULSE A X\nPAIR A B CZ\nPULSE C Z\nMEASURE A\nPULSE C R 31 20 16 5\n"
+    "PAIR C A CZ\nCOOL A\nPULSE C R 4 9 11 4\nPAIR C A CZ\nMEASURE C\n"
+)
+GC02_BITS, GC02_SEED = "111011101101110011", 580923005
 
 
 # (script, chain pattern, 1-based line of the first malformed line)
@@ -483,6 +533,21 @@ class TestTranslation:
             np.abs(shifted_first.state.amplitudes - pulsed_first.state.amplitudes)
         ) <= 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_translation_of_definite_and_active_cells(self, data):
+        # an H on one species activates it and leaves the others definite;
+        # the dense chain of the same state has every cell active
+        pattern = data.draw(st.sampled_from(["AB", "ABC"]))
+        period = len(pattern)
+        length = period * data.draw(st.integers(2, 12 // period))
+        bits = "".join(data.draw(st.sampled_from("01")) for _ in range(length))
+        species = data.draw(st.sampled_from(pattern))
+        chain = run_script(chain_from_bits(pattern, bits, "periodic"), f"PULSE {species} H")[0]
+        offset = period * data.draw(st.integers(-(length // period), length // period))
+        dense = translate(CellChain(pattern, chain.state, "periodic"), offset)
+        assert np.array_equal(translate(chain, offset).state.amplitudes, dense.state.amplitudes)
+
     def test_open_chain_rejects_translation(self):
         chain = chain_from_bits("ABC", "000000")
         with pytest.raises(ValueError):
@@ -599,11 +664,11 @@ class TestTransport:
 
 class TestPeakMemory:
     """A pulse, a species cooling, a transport run and a bulk measurement
-    each work on one private buffer, handed to the new ``PureState``
-    without a copy, so at most two state vectors are alive: the buffer
-    beside up to one vector of saved parts and copies (moves and scales) or
-    the probabilities (bulk measurement); a dense pulse adds one 256 KiB
-    block.
+    on a chain with every cell active each work on one private buffer,
+    handed to the new chain's frame without a copy, so at most two state
+    vectors are alive: the buffer beside up to one vector of saved parts
+    and copies (moves and scales), the probabilities (bulk measurement) or
+    the kept half (cooling); a dense pulse adds one 256 KiB block.
     The slack covers numpy's iteration buffers on strided parts (up to
     256 KiB whatever the length) and stays below the quarter vector one
     more saved part would add."""
@@ -775,3 +840,50 @@ class TestScripts:
         np.testing.assert_allclose(
             first[0].state.amplitudes, second[0].state.amplitudes, atol=0
         )
+
+
+class TestDenseOracle:
+    """Scripts on frames against ``gc_dense``, the whole-vector engine."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=oracle_cases())
+    def test_matches_dense_reference(self, case):
+        chain, seed, text = case
+        final, events = run_script(chain, text, seed=seed)
+        expected, expected_events = gc_dense.run_script(chain, text, seed=seed)
+        assert events == expected_events
+        assert np.max(np.abs(final.state.amplitudes - expected.amplitudes)) <= 1e-12
+
+    def test_weight_probabilities_match_dense_reference(self):
+        # a chain with definite and active cells of the measured species
+        chain = run_script(chain_from_bits("ABC", "110100101"), "PULSE A H\nPULSE B R 1 2 3 4\n")[0]
+        for species in "ABC":
+            cells = chain.cells_of(species)
+            _, expected = gc_dense.weight_probabilities(chain.state, cells)
+            _, probs = global_control._weight_probabilities(chain, species)
+            assert len(probs) == len(cells) + 1
+            assert np.max(np.abs(probs - expected)) <= 1e-15
+
+
+class TestCountedWork:
+    def test_gc02_keeps_at_most_six_cells_active(self):
+        # only the six C cells leave a basis state: X and Z keep a cell in
+        # one, and CZ with a definite A cell is a 2x2 on its C neighbour
+        chain = chain_from_bits("ABC", GC02_BITS)
+        lines = GC02_SCRIPT.splitlines(keepends=True)
+        active = [
+            len(run_script(chain, "".join(lines[:i]), seed=GC02_SEED)[0]._frame.active)
+            for i in range(1, len(lines) + 1)
+        ]
+        assert max(active) <= 6
+        assert active[4] == 6  # after the first R pulse on C
+
+    def test_basis_chain_allocates_no_state_vector(self):
+        chain_from_bits("ABC", "0" * 18)
+        tracemalloc.start()
+        try:
+            chain_from_bits("ABC", "0" * 18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
